@@ -59,6 +59,8 @@ void LinkStateTable::publish(NodeId from, NodeId to, const LinkMetrics& metrics)
   slot = metrics;
 }
 
+const LinkMetrics& LinkStateTable::pristine() { return kPristine; }
+
 const LinkMetrics& LinkStateTable::get(NodeId from, NodeId to) const {
   if (nbrs_ != nullptr && !nbrs_->adjacent(from, to)) return kPristine;
   return entries_[index(from, to)];

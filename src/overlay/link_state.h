@@ -24,6 +24,7 @@
 #ifndef RONPATH_OVERLAY_LINK_STATE_H_
 #define RONPATH_OVERLAY_LINK_STATE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -64,6 +65,14 @@ class LinkStateTable {
 
   void publish(NodeId from, NodeId to, const LinkMetrics& metrics);
   [[nodiscard]] const LinkMetrics& get(NodeId from, NodeId to) const;
+  // Sparse mode only: the entry of directed edge `edge` (a NeighborSet
+  // rank), read without searching the row.
+  [[nodiscard]] const LinkMetrics& at_edge(std::size_t edge) const {
+    assert(nbrs_ != nullptr && edge < entries_.size());
+    return entries_[edge];
+  }
+  // What get() returns for a pair outside the sparse neighbor graph.
+  [[nodiscard]] static const LinkMetrics& pristine();
 
   // A node is considered reachable-in-principle if at least one of its
   // incident links is not down (no estimates at all also counts as up).
@@ -73,6 +82,8 @@ class LinkStateTable {
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] bool sparse() const { return nbrs_ != nullptr; }
+  // The capped graph a sparse table is keyed by; null in dense mode.
+  [[nodiscard]] const NeighborSet* neighbors() const { return nbrs_; }
 
   // Snapshot support: serializes every published entry.
   void save_state(snap::Encoder& e) const;

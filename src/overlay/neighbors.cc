@@ -111,6 +111,17 @@ void NeighborSet::finish(std::size_t n, std::vector<std::vector<NodeId>> rows) {
   for (std::size_t s = 0; s < n; ++s) {
     nbrs_.insert(nbrs_.end(), rows[s].begin(), rows[s].end());
   }
+  // Sources are visited in ascending order and every row is sorted, so s
+  // takes the next unclaimed slot of each of its neighbors' rows.
+  reverse_.resize(total);
+  std::vector<std::size_t> next(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t e = offsets_[s]; e < offsets_[s + 1]; ++e) {
+      const std::size_t r = next[nbrs_[e]]++;
+      assert(nbrs_[r] == s);
+      reverse_[e] = r;
+    }
+  }
   is_landmark_.assign(n, false);
 }
 

@@ -7,15 +7,18 @@
 // landmark. Landmarks are chosen by greedy farthest-point traversal so
 // they spread across the geography; every node can reach any distant
 // destination through src -> landmark -> dst with candidates drawn from
-// N(src) u N(dst) u landmarks (arXiv:1310.8125's k-nearest + landmark
-// alternate selection).
+// N(src) u N(dst), which holds every landmark (arXiv:1310.8125's
+// k-nearest + landmark alternate selection).
 //
 // The set is symmetric (a in N(b) <=> b in N(a)) and purely a function
 // of (topology, fanout, landmarks): no RNG involved, so rebuilding it
 // after a restore reproduces the same graph. Rows are sorted CSR, and
 // `edge_index` gives every directed edge a dense rank — the flat
 // storage key used by the overlay's estimator array and the sparse
-// link-state table (state is O(n * fanout) instead of O(n^2)).
+// link-state table (state is O(n * fanout) instead of O(n^2)). Edge
+// ranks of a row are contiguous from `row_begin`, and `reverse_edge`
+// maps (s, d) to (d, s) in O(1), so a walk over row s reads both
+// directions of every incident link without searching.
 //
 // `full_mesh(n)` (also what `build` returns when fanout >= n-1)
 // materializes the complete graph with `full() == true`; consumers use
@@ -60,6 +63,11 @@ class NeighborSet {
   [[nodiscard]] std::size_t edge_index(NodeId s, NodeId d) const;
   // Total directed edges (== nbrs_.size(); rows are symmetric).
   [[nodiscard]] std::size_t edge_count() const { return nbrs_.size(); }
+  // Rank of (s, neighbors(s)[0]); row s holds ranks
+  // [row_begin(s), row_begin(s) + degree(s)) in neighbor order.
+  [[nodiscard]] std::size_t row_begin(NodeId s) const { return offsets_[s]; }
+  // Rank of (d, s) given the rank of (s, d).
+  [[nodiscard]] std::size_t reverse_edge(std::size_t e) const { return reverse_[e]; }
 
   [[nodiscard]] bool is_landmark(NodeId v) const { return is_landmark_[v]; }
   [[nodiscard]] const std::vector<NodeId>& landmarks() const { return landmarks_; }
@@ -70,6 +78,7 @@ class NeighborSet {
 
   std::vector<std::size_t> offsets_;  // n + 1
   std::vector<NodeId> nbrs_;          // sorted per row, symmetric
+  std::vector<std::size_t> reverse_;  // per edge: rank of the opposite direction
   std::vector<NodeId> landmarks_;     // sorted
   std::vector<bool> is_landmark_;
   bool full_ = false;

@@ -27,7 +27,7 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
       capped_(cfg_.fanout > 0) {
   routers_.reserve(n_);
   for (NodeId i = 0; i < n_; ++i) {
-    routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router, &neighbors_));
+    routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router));
   }
   links_.reserve(neighbors_.edge_count());
   const EstimatorConfig est_cfg{cfg_.loss_window, cfg_.use_ewma_loss, cfg_.loss_ewma_alpha,

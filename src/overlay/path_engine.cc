@@ -1,5 +1,6 @@
 #include "overlay/path_engine.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ronpath {
@@ -19,6 +20,9 @@ namespace {
 //   loss     : survival product (1-l1)*(1-l2)*..., left-associated;
 //              the query converts to loss as 1.0 - product.
 //   latency  : saturating_add chain, Duration::max() absorbing.
+// Each objective also names its selection: `penalized` is the value an
+// r-relay chain competes with in the final pick (the raw link metric
+// for the direct path), stored in `selected` of the choice.
 struct LossObj {
   using Value = double;
   using Link = double;
@@ -29,6 +33,12 @@ struct LossObj {
   static Value seed(Link l) { return 1.0 - l; }
   static Value extend(Value prev, Link l) { return prev * (1.0 - l); }
   static bool better(Value a, Value b) { return a > b; }
+  // Losses lie in [0, 1], so survival never exceeds 1.0.
+  static bool unbeatable(Value v) { return v == 1.0; }
+  static double penalized(Value v, int r, const RouterConfig& cfg) {
+    return (1.0 - v) + static_cast<double>(r) * cfg.indirect_loss_penalty;
+  }
+  static double& selected(EngineChoice& c) { return c.loss; }
 };
 
 struct LatObj {
@@ -41,11 +51,121 @@ struct LatObj {
   static Value seed(Link l) { return l; }
   static Value extend(Value prev, Link l) { return Duration::saturating_add(prev, l); }
   static bool better(Value a, Value b) { return a < b; }
+  static bool unbeatable(Value) { return false; }
+  // r forwarding delays, accumulated by repeated addition so r == 2
+  // reproduces the legacy `forward_delay + forward_delay` exactly.
+  static Duration penalized(Value v, int r, const RouterConfig& cfg) {
+    Duration fwd = cfg.forward_delay;
+    for (int j = 1; j < r; ++j) fwd = fwd + cfg.forward_delay;
+    Duration cand = Duration::saturating_add(v, fwd);
+    if (cand != Duration::max()) cand += cfg.indirect_lat_penalty * r;
+    return cand;
+  }
+  static Duration& selected(EngineChoice& c) { return c.latency; }
 };
+
+// Final penalized selection. Candidates are compared by penalized value
+// with strict improvement, rounds ascending after the direct path, so
+// equal values resolve to fewer relays. Expressions match the legacy
+// router's composition exactly: the direct path reports the raw link
+// metric; round r adds r * indirect_*_penalty (1x and 2.0x match the
+// legacy one- and two-hop forms bit for bit).
+template <class Obj>
+EngineChoice direct_choice(typename Obj::Link direct, bool include_direct) {
+  EngineChoice best;
+  best.valid = include_direct;
+  if (include_direct) Obj::selected(best) = direct;
+  return best;
+}
+
+template <class Obj>
+void offer(EngineChoice& best, const RouterConfig& cfg, int r, typename Obj::Value v,
+           const HopPath& path) {
+  const auto cand = Obj::penalized(v, r, cfg);
+  if (!best.valid || cand < Obj::selected(best)) {
+    best.valid = true;
+    best.path = path;
+    Obj::selected(best) = cand;
+    best.hop_count = r;
+  }
+}
+
+// Visits the one-relay candidates of src -> dst in ascending id order as
+// visit(u, get(src, u), get(u, dst)) until visit returns false. The
+// candidates are every node but the endpoints or, with `endpoint_rows`
+// over a sparse table, the sorted merge of the two endpoint rows. A
+// sparse table is read by edge rank: (src, u) at src's row offset and
+// (u, dst) through the reverse of (dst, u), both O(1); a leg between
+// non-adjacent nodes reads the pristine entry, exactly as get() does.
+template <class Visit>
+void for_each_relay(const LinkStateTable& t, NodeId src, NodeId dst, bool endpoint_rows,
+                    Visit&& visit) {
+  const NeighborSet* g = t.neighbors();
+  if (g == nullptr) {  // dense: get() is an O(1) index
+    for (NodeId u = 0; u < t.size(); ++u) {
+      if (u != src && u != dst && !visit(u, t.get(src, u), t.get(u, dst))) return;
+    }
+    return;
+  }
+  const auto a = g->neighbors(src);
+  const auto b = g->neighbors(dst);
+  const std::size_t a_edge = g->row_begin(src);
+  const std::size_t b_edge = g->row_begin(dst);
+  const auto head = [](std::span<const NodeId> row, std::size_t i) {
+    return i < row.size() ? row[i] : kInvalidNode;
+  };
+  std::size_t i = 0;
+  std::size_t j = 0;
+  for (NodeId u = 0;; ++u) {
+    if (endpoint_rows) u = std::min(head(a, i), head(b, j));
+    if (u >= t.size()) return;  // also kInvalidNode: both rows consumed
+    const LinkMetrics& in = head(a, i) == u ? t.at_edge(a_edge + i++) : LinkStateTable::pristine();
+    const LinkMetrics& out =
+        head(b, j) == u ? t.at_edge(g->reverse_edge(b_edge + j++)) : LinkStateTable::pristine();
+    if (u != src && u != dst && !visit(u, in, out)) return;
+  }
+}
+
+// One-relay query: a single ascending scan with the kernel's seed,
+// extend and strict-improvement expressions (so ties resolve to the
+// smallest relay, as in round 1 of the tables), then the round-1 pick.
+template <class Obj>
+EngineChoice one_relay(const LinkStateTable& t, const RouterConfig& cfg, EngineStats& stats,
+                       NodeId src, NodeId dst, TimePoint now, const RelayFilter& f) {
+  assert(std::is_sorted(f.excluded.begin(), f.excluded.end()));
+  const auto link = [&](const LinkMetrics& m) {
+    return Obj::link(m, cfg, entry_expired(m, cfg, now));
+  };
+  EngineChoice best = direct_choice<Obj>(link(t.get(src, dst)), f.include_direct);
+  typename Obj::Value top = Obj::kUnset;
+  NodeId via = kInvalidNode;
+  auto barred = f.excluded.begin();
+  for_each_relay(t, src, dst, f.endpoint_rows,
+                 [&](NodeId u, const LinkMetrics& in, const LinkMetrics& out) {
+                   while (barred != f.excluded.end() && *barred < u) ++barred;
+                   if (!t.node_seems_up(u) || (barred != f.excluded.end() && *barred == u)) {
+                     return true;
+                   }
+                   ++stats.edges_relaxed;
+                   const auto cand = Obj::extend(Obj::seed(link(in)), link(out));
+                   if (via == kInvalidNode || Obj::better(cand, top)) {
+                     top = cand;
+                     via = u;
+                   }
+                   return !Obj::unbeatable(top);
+                 });
+  if (via != kInvalidNode) {
+    HopPath path;
+    path.hops[0] = via;
+    path.count = 1;
+    offer<Obj>(best, cfg, 1, top, path);
+  }
+  return best;
+}
 
 }  // namespace
 
-// Relaxation kernel shared by scratch, lazy-query and incremental
+// Relaxation kernel shared by scratch, per-query and incremental
 // paths. Operates on one objective's flat label arrays. All tie-breaks
 // are "strict improvement scanning predecessors in ascending order"
 // (equivalently: better value, else smaller parent id), which is the
@@ -146,7 +266,7 @@ struct EngineKernel {
   }
 
   // Full round-r relax. `only`, when valid, restricts targets to one
-  // node (the lazy query's final round).
+  // node (a per-query search's final round).
   void relax_round(int r, NodeId only = kInvalidNode) {
     const std::size_t base = static_cast<std::size_t>(r) * n;
     if (only != kInvalidNode) {
@@ -203,62 +323,13 @@ void PathEngine::ensure_scratch() {
 
 namespace {
 
-// Final penalized selection. Candidates are compared by penalized value
-// with strict improvement, rounds ascending, so equal values resolve to
-// fewer relays. Expressions match the legacy router's composition
-// exactly: round 0 reports the raw link metric; round r adds
-// r * indirect_*_penalty (1x and 2.0x match the legacy one- and two-hop
-// forms bit for bit).
-EngineChoice finish_loss(EngineKernel<LossObj>& k, NodeId dst, int max_hops, double direct_loss,
-                         bool include_direct) {
-  EngineChoice best;
-  best.valid = false;
-  if (include_direct) {
-    best.valid = true;
-    best.path = HopPath{};
-    best.loss = direct_loss;
-    best.hop_count = 0;
-  }
+template <class Obj>
+EngineChoice finish(const EngineKernel<Obj>& k, NodeId dst, int max_hops,
+                    typename Obj::Link direct, bool include_direct) {
+  EngineChoice best = direct_choice<Obj>(direct, include_direct);
   for (int r = 1; r <= max_hops; ++r) {
     const std::size_t i = static_cast<std::size_t>(r) * k.n + dst;
-    if (k.par[i] == kInvalidNode) continue;
-    const double cand =
-        (1.0 - k.val[i]) + static_cast<double>(r) * k.cfg.indirect_loss_penalty;
-    if (!best.valid || cand < best.loss) {
-      best.valid = true;
-      best.path = k.chain_of(r, dst);
-      best.loss = cand;
-      best.hop_count = r;
-    }
-  }
-  return best;
-}
-
-EngineChoice finish_lat(EngineKernel<LatObj>& k, NodeId dst, int max_hops, Duration direct_lat,
-                        bool include_direct) {
-  EngineChoice best;
-  best.valid = false;
-  if (include_direct) {
-    best.valid = true;
-    best.path = HopPath{};
-    best.latency = direct_lat;
-    best.hop_count = 0;
-  }
-  for (int r = 1; r <= max_hops; ++r) {
-    const std::size_t i = static_cast<std::size_t>(r) * k.n + dst;
-    if (k.par[i] == kInvalidNode) continue;
-    // r forwarding delays, accumulated by repeated addition so r == 2
-    // reproduces the legacy `forward_delay + forward_delay` exactly.
-    Duration fwd = k.cfg.forward_delay;
-    for (int j = 1; j < r; ++j) fwd = fwd + k.cfg.forward_delay;
-    Duration cand = Duration::saturating_add(k.val[i], fwd);
-    if (cand != Duration::max()) cand += k.cfg.indirect_lat_penalty * r;
-    if (!best.valid || cand < best.latency) {
-      best.valid = true;
-      best.path = k.chain_of(r, dst);
-      best.latency = cand;
-      best.hop_count = r;
-    }
+    if (k.par[i] != kInvalidNode) offer<Obj>(best, k.cfg, r, k.val[i], k.chain_of(r, dst));
   }
   return best;
 }
@@ -286,32 +357,57 @@ void PathEngine::refresh_expired() {
   }
 }
 
-EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
-                                   const std::vector<bool>* excluded, bool include_direct) {
-  assert(src < n_ && dst < n_ && src != dst);
+const std::vector<bool>* PathEngine::relay_mask(NodeId src, NodeId dst,
+                                                const RelayFilter& filter) {
+  const NeighborSet* g = filter.endpoint_rows ? table_.neighbors() : nullptr;
+  if (g == nullptr && filter.excluded.empty()) return nullptr;
+  q_mask_.assign(n_, g != nullptr);
+  if (g != nullptr) {
+    for (const NodeId v : g->neighbors(src)) q_mask_[v] = false;
+    for (const NodeId v : g->neighbors(dst)) q_mask_[v] = false;
+  }
+  for (const NodeId v : filter.excluded) q_mask_[v] = true;
+  return &q_mask_;
+}
+
+template <class Obj, class Labels>
+EngineChoice PathEngine::query_rounds(NodeId src, NodeId dst, int rounds, TimePoint now,
+                                      const RelayFilter& filter, Labels& labels) {
   ensure_scratch();
   refresh_live();
-  const int k = clamp_rounds(max_hops);
-  EngineKernel<LossObj> kern{table_,   cfg_,     n_,  src, /*ban=*/dst,   q_live_,
-                             excluded, nullptr,  now, q_loss_.value, q_loss_.parent, stats_};
+  EngineKernel<Obj> kern{table_, cfg_, n_, src, /*ban=*/dst, q_live_, relay_mask(src, dst, filter),
+                         nullptr, now, labels.value, labels.parent, stats_};
   kern.seed_round0();
-  for (int r = 1; r <= k; ++r) kern.relax_round(r, r == k ? dst : kInvalidNode);
-  const double direct = link_loss(table_.get(src, dst), cfg_, now);
-  return finish_loss(kern, dst, k, direct, include_direct);
+  for (int r = 1; r <= rounds; ++r) kern.relax_round(r, r == rounds ? dst : kInvalidNode);
+  const LinkMetrics& direct = table_.get(src, dst);
+  return finish<Obj>(kern, dst, rounds, Obj::link(direct, cfg_, entry_expired(direct, cfg_, now)),
+                     filter.include_direct);
+}
+
+EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
+                                   const RelayFilter& filter) {
+  assert(src < n_ && dst < n_ && src != dst);
+  const int k = clamp_rounds(max_hops);
+  if (k == 1) return one_relay<LossObj>(table_, cfg_, stats_, src, dst, now, filter);
+  return query_rounds<LossObj>(src, dst, k, now, filter, q_loss_);
 }
 
 EngineChoice PathEngine::best_latency(NodeId src, NodeId dst, int max_hops, TimePoint now,
-                                      const std::vector<bool>* excluded, bool include_direct) {
+                                      const RelayFilter& filter) {
   assert(src < n_ && dst < n_ && src != dst);
-  ensure_scratch();
-  refresh_live();
   const int k = clamp_rounds(max_hops);
-  EngineKernel<LatObj> kern{table_,   cfg_,    n_,  src, /*ban=*/dst,  q_live_,
-                            excluded, nullptr, now, q_lat_.value, q_lat_.parent, stats_};
-  kern.seed_round0();
-  for (int r = 1; r <= k; ++r) kern.relax_round(r, r == k ? dst : kInvalidNode);
-  const Duration direct = link_latency(table_.get(src, dst), cfg_, now);
-  return finish_lat(kern, dst, k, direct, include_direct);
+  if (k == 1) return one_relay<LatObj>(table_, cfg_, stats_, src, dst, now, filter);
+  return query_rounds<LatObj>(src, dst, k, now, filter, q_lat_);
+}
+
+std::vector<NodeId> PathEngine::live_relays(NodeId src, NodeId dst, bool endpoint_rows) const {
+  std::vector<NodeId> out;
+  for_each_relay(table_, src, dst, endpoint_rows,
+                 [&](NodeId u, const LinkMetrics&, const LinkMetrics&) {
+                   if (table_.node_seems_up(u)) out.push_back(u);
+                   return true;
+                 });
+  return out;
 }
 
 void PathEngine::relax_all(NodeId src, int max_hops, TimePoint now) {
@@ -483,7 +579,7 @@ EngineChoice PathEngine::table_best_loss(NodeId dst) const {
                              now_,    self.s_loss_.value, self.s_loss_.parent, self.stats_};
   const double direct =
       link_loss(table_.get(src_, dst), cfg_, expired_[static_cast<std::size_t>(src_) * n_ + dst]);
-  return finish_loss(kern, dst, rounds_, direct, true);
+  return finish<LossObj>(kern, dst, rounds_, direct, true);
 }
 
 EngineChoice PathEngine::table_best_latency(NodeId dst) const {
@@ -494,7 +590,7 @@ EngineChoice PathEngine::table_best_latency(NodeId dst) const {
                             now_,    self.s_lat_.value, self.s_lat_.parent, self.stats_};
   const Duration direct = link_latency(
       table_.get(src_, dst), cfg_, expired_[static_cast<std::size_t>(src_) * n_ + dst]);
-  return finish_lat(kern, dst, rounds_, direct, true);
+  return finish<LatObj>(kern, dst, rounds_, direct, true);
 }
 
 double PathEngine::loss_label(int round, NodeId node) const {

@@ -16,14 +16,21 @@
 // (indirect_loss_penalty / indirect_lat_penalty are charged per relay),
 // and a penalized order is not preserved under label composition.
 //
-// Two query styles share one relaxation kernel:
+// Query styles:
 //
-//   * per-query (lazy): best_loss()/best_latency() relax scratch tables
-//     for one (src, dst, now) question, honoring a per-destination
-//     exclusion mask (hold-down) and an include_direct flag. At k == 1
-//     this costs the same O(n) link evaluations as the legacy scan and
-//     reproduces its choices bit-for-bit (same composition expressions,
-//     same ascending strict-improvement tie-breaks).
+//   * one relay (k == 1): best_loss()/best_latency() answer with a
+//     single ascending scan over the relay candidates, no labels. Over
+//     a capped table with RelayFilter::endpoint_rows the candidates are
+//     the sorted merge of the two endpoints' CSR rows, N(src) u N(dst),
+//     and both legs of each candidate are read by edge rank (the
+//     (u, dst) leg through the reverse edge), so a query costs
+//     O(|N(src)| + |N(dst)|), not O(n) searched reads. Seed, extend
+//     and strict-improvement expressions are the kernel's, so choices
+//     match the round tables bit for bit. The loss scan stops at the
+//     first relay with survival exactly 1.0: losses lie in [0, 1], so
+//     no later relay can strictly beat it.
+//   * per-query rounds (k >= 2): relax scratch tables for one
+//     (src, dst, now) question; the filter becomes a relay mask.
 //   * shared incremental: relax_all() builds tables for every
 //     destination at a fixed (src, now) anchor; apply_update() /
 //     set_now() re-relax only labels affected by a changed link-state
@@ -49,6 +56,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "overlay/link_state.h"
@@ -70,6 +78,18 @@ struct HopPath {
   // Conversion for the forwarding plane; requires count <= 2.
   [[nodiscard]] PathSpec to_spec(NodeId src, NodeId dst) const;
   friend constexpr bool operator==(const HopPath&, const HopPath&) = default;
+};
+
+// Relay restrictions of a per-query search.
+struct RelayFilter {
+  // Relays only from N(src) u N(dst) of the table's capped neighbor
+  // graph (every node over a dense, full-mesh table). Off: every node.
+  bool endpoint_rows = false;
+  // Nodes barred from every relay position (hold-downs, a primary's
+  // relay), ascending.
+  std::span<const NodeId> excluded;
+  // Off: the 0-hop candidate is not considered.
+  bool include_direct = true;
 };
 
 // Result of an engine query. `valid` is false only when include_direct
@@ -101,18 +121,19 @@ class PathEngine {
   // it. One engine serves any source (queries take `src`).
   PathEngine(const LinkStateTable& table, const RouterConfig& cfg);
 
-  // --- per-query lazy mode ----------------------------------------
+  // --- per-query mode ---------------------------------------------
 
   // Best path src -> dst using at most `max_hops` relays under the
-  // staleness policy at `now`. `excluded`, when non-null (size n), bars
-  // nodes from every relay position (hold-down). With
-  // include_direct == false the 0-hop candidate is not considered.
+  // staleness policy at `now`, relays restricted by `filter`.
   [[nodiscard]] EngineChoice best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
-                                       const std::vector<bool>* excluded = nullptr,
-                                       bool include_direct = true);
+                                       const RelayFilter& filter = {});
   [[nodiscard]] EngineChoice best_latency(NodeId src, NodeId dst, int max_hops, TimePoint now,
-                                          const std::vector<bool>* excluded = nullptr,
-                                          bool include_direct = true);
+                                          const RelayFilter& filter = {});
+
+  // The one-relay candidates of src -> dst that currently seem up,
+  // ascending (endpoint_rows as in RelayFilter).
+  [[nodiscard]] std::vector<NodeId> live_relays(NodeId src, NodeId dst,
+                                                bool endpoint_rows) const;
 
   // --- shared incremental mode ------------------------------------
 
@@ -160,6 +181,13 @@ class PathEngine {
     std::vector<NodeId> parent;
   };
 
+  // Per-query search at k >= 2 on the round tables in `labels`.
+  template <class Obj, class Labels>
+  EngineChoice query_rounds(NodeId src, NodeId dst, int rounds, TimePoint now,
+                            const RelayFilter& filter, Labels& labels);
+  // The filter as an n-entry relay mask for the round kernel; null when
+  // it bars nothing.
+  const std::vector<bool>* relay_mask(NodeId src, NodeId dst, const RelayFilter& filter);
   void ensure_scratch();
   void refresh_live();
   void refresh_expired();
@@ -168,10 +196,11 @@ class PathEngine {
   const RouterConfig& cfg_;
   std::size_t n_;
 
-  // Scratch for per-query mode (reused, no per-call allocation).
+  // Scratch for per-query rounds (k >= 2; allocated on first use).
   LossLabels q_loss_;
   LatLabels q_lat_;
   std::vector<bool> q_live_;
+  std::vector<bool> q_mask_;
 
   // Shared incremental state.
   bool shared_ready_ = false;

@@ -94,9 +94,8 @@ bool path_down(const LinkStateTable& table, const PathSpec& path) {
   return table.get(path.src, path.via).down || table.get(path.via, path.dst).down;
 }
 
-Router::Router(NodeId self, const LinkStateTable& table, RouterConfig cfg,
-               const NeighborSet* neighbors)
-    : self_(self), table_(table), cfg_(cfg), nbrs_(neighbors) {
+Router::Router(NodeId self, const LinkStateTable& table, RouterConfig cfg)
+    : self_(self), table_(table), cfg_(cfg) {
   // The forwarding plane carries at most two relays.
   if (cfg_.max_intermediates < 1) cfg_.max_intermediates = 1;
   if (cfg_.max_intermediates > 2) cfg_.max_intermediates = 2;
@@ -137,37 +136,21 @@ std::int64_t Router::lat_switches(NodeId dst) const {
   return st != nullptr ? st->lat_switches : 0;
 }
 
-bool Router::is_candidate(NodeId v, NodeId dst) const {
-  // Relay candidates over a capped graph: the two endpoint neighbor
-  // rows plus the landmarks. A relay outside this set could not have
-  // fresh link state towards either endpoint anyway.
-  return nbrs_->adjacent(self_, v) || nbrs_->adjacent(dst, v) || nbrs_->is_landmark(v);
-}
-
 std::vector<NodeId> Router::live_intermediates(NodeId dst) const {
-  std::vector<NodeId> out;
-  const bool capped = restricted();
-  out.reserve(capped ? nbrs_->degree(self_) + nbrs_->degree(dst) : table_.size());
-  for (NodeId v = 0; v < table_.size(); ++v) {
-    if (v == self_ || v == dst) continue;
-    if (capped && !is_candidate(v, dst)) continue;
-    if (!table_.node_seems_up(v)) continue;
-    out.push_back(v);
-  }
-  return out;
+  return engine_->live_relays(self_, dst, /*endpoint_rows=*/true);
 }
 
 bool Router::view_degraded(TimePoint now) const {
   if (cfg_.entry_ttl <= Duration::zero()) return false;
   std::size_t expired = 0;
   std::size_t total = 0;
-  if (restricted()) {
+  if (const NeighborSet* g = table_.neighbors()) {
     // Only the neighbor row is ever refreshed over a capped graph;
     // counting the silent rest of the mesh would read as permanently
     // degraded at any useful fanout.
-    for (const NodeId v : nbrs_->neighbors(self_)) {
-      ++total;
-      if (entry_expired(table_.get(self_, v), cfg_, now)) ++expired;
+    total = g->degree(self_);
+    for (std::size_t e = g->row_begin(self_); e < g->row_begin(self_) + total; ++e) {
+      if (entry_expired(table_.at_edge(e), cfg_, now)) ++expired;
     }
   } else {
     for (NodeId v = 0; v < table_.size(); ++v) {
@@ -219,39 +202,19 @@ void Router::count_switch(std::int64_t& counter, const std::optional<PathSpec>& 
   if (inc && *inc != chosen) ++counter;
 }
 
-const std::vector<bool>* Router::exclusion_mask(NodeId dst, TimePoint now) {
-  const std::size_t n = table_.size();
-  if (restricted()) {
-    // Start from everything excluded and open up the candidate set, so
-    // the engine's relax never touches non-candidates at all.
-    excluded_scratch_.assign(n, true);
-    for (const NodeId v : nbrs_->neighbors(self_)) excluded_scratch_[v] = false;
-    for (const NodeId v : nbrs_->neighbors(dst)) excluded_scratch_[v] = false;
-    for (const NodeId v : nbrs_->landmarks()) excluded_scratch_[v] = false;
-    excluded_scratch_[self_] = false;
-    excluded_scratch_[dst] = false;
-    if (cfg_.holddown_base > Duration::zero()) {
-      for (const auto& [key, h] : holddown_) {
-        if (key / (n + 1) != dst) continue;
-        const std::size_t slot = key % (n + 1);
-        if (slot < n && h.until > now) excluded_scratch_[slot] = true;
-      }
-    }
-    return &excluded_scratch_;
+std::span<const NodeId> Router::held_vias(NodeId dst, TimePoint now) {
+  held_scratch_.clear();
+  if (cfg_.holddown_base <= Duration::zero()) return held_scratch_;
+  // Keys dst * (n+1) + slot are sorted, so dst's relay slots [0, n) are
+  // one contiguous run; slot n (the direct path) is never a relay.
+  const std::size_t first = holddown_key(dst, 0);
+  const std::size_t last = first + table_.size();
+  auto it = std::lower_bound(holddown_.begin(), holddown_.end(), first,
+                             [](const auto& e, std::size_t k) { return e.first < k; });
+  for (; it != holddown_.end() && it->first < last; ++it) {
+    if (it->second.until > now) held_scratch_.push_back(static_cast<NodeId>(it->first - first));
   }
-  // Legacy unrestricted path: hold-downs only, nullptr when none bite.
-  if (cfg_.holddown_base <= Duration::zero() || holddown_.empty()) return nullptr;
-  excluded_scratch_.assign(n, false);
-  bool any = false;
-  for (const auto& [key, h] : holddown_) {
-    if (key / (n + 1) != dst) continue;
-    const std::size_t slot = key % (n + 1);
-    if (slot < n && h.until > now) {
-      excluded_scratch_[slot] = true;
-      any = true;
-    }
-  }
-  return any ? &excluded_scratch_ : nullptr;
+  return held_scratch_;
 }
 
 PathChoice Router::evaluate_loss(NodeId dst, DstState& st, TimePoint now) {
@@ -273,12 +236,13 @@ PathChoice Router::evaluate_loss(NodeId dst, DstState& st, TimePoint now) {
     register_down(dst, *inc, now);
   }
 
-  // Candidate scan via the path engine. At max_intermediates == 1 the
-  // lazy query is the same O(N) sweep (and the same composition and
-  // tie-break expressions) as the historical inline loop; at 2 it also
-  // relaxes two-relay chains, each relay charged indirect_loss_penalty.
-  const EngineChoice cand =
-      engine_->best_loss(self_, dst, cfg_.max_intermediates, now, exclusion_mask(dst, now));
+  // Candidate scan via the path engine. At max_intermediates == 1 it is
+  // one ascending pass over N(self) u N(dst) (every node over a dense
+  // table) with the historical loop's composition and tie-break
+  // expressions; at 2 it also relaxes two-relay chains, each relay
+  // charged indirect_loss_penalty.
+  const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
+  const EngineChoice cand = engine_->best_loss(self_, dst, cfg_.max_intermediates, now, filter);
   PathChoice best{cand.path.to_spec(self_, dst), cand.loss, Duration::zero()};
 
   // Hysteresis: keep the incumbent while it is close to the best.
@@ -309,8 +273,8 @@ PathChoice Router::evaluate_lat(NodeId dst, DstState& st, TimePoint now) {
     register_down(dst, *inc, now);
   }
 
-  const EngineChoice cand =
-      engine_->best_latency(self_, dst, cfg_.max_intermediates, now, exclusion_mask(dst, now));
+  const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
+  const EngineChoice cand = engine_->best_latency(self_, dst, cfg_.max_intermediates, now, filter);
   PathChoice best{cand.path.to_spec(self_, dst), 0.0, cand.latency};
 
   if (inc && best.latency != Duration::max() && !held_down(dst, inc->via, now)) {

@@ -23,26 +23,28 @@
 // exponentially growing hold-down before it can be re-selected, bounding
 // flap amplification.
 //
-// Scaling (DESIGN.md §14): constructed over a capped NeighborSet the
-// router restricts relay candidates to N(self) u N(dst) u landmarks via
-// the engine's exclusion mask, its degraded-view denominator becomes
-// the neighbor row, and per-destination state (incumbents, switch
-// counters, hold-downs) lives in sorted flat maps populated on first
-// touch — O(destinations actually routed), not O(n) per router. Over a
-// full mesh (or with no NeighborSet) every code path reduces to the
-// legacy behaviour bit for bit.
+// Scaling (DESIGN.md §14): over a sparse table (a capped NeighborSet)
+// the router's relay candidates are N(self) u N(dst), which holds every
+// landmark because every node neighbors every landmark. At
+// max_intermediates == 1 a query is one path-engine scan over the
+// sorted merge of the two rows, O(|N(self)| + |N(dst)|); the
+// degraded-view denominator becomes the neighbor row; and
+// per-destination state (incumbents, switch counters, hold-downs) lives
+// in sorted flat maps populated on first touch — O(destinations
+// actually routed), not O(n) per router. Over a dense (full-mesh) table
+// every code path reduces to the legacy behaviour bit for bit.
 
 #ifndef RONPATH_OVERLAY_ROUTER_H_
 #define RONPATH_OVERLAY_ROUTER_H_
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "overlay/link_state.h"
-#include "overlay/neighbors.h"
 #include "util/ids.h"
 #include "util/time.h"
 
@@ -149,12 +151,10 @@ struct PathChoice {
 
 class Router {
  public:
-  // `neighbors`, when non-null and not a full mesh, restricts relay
-  // candidates and scopes the degraded-view scan to the neighbor row;
-  // it must outlive the router. Null (or full mesh) is the legacy
-  // unrestricted router.
-  Router(NodeId self, const LinkStateTable& table, RouterConfig cfg,
-         const NeighborSet* neighbors = nullptr);
+  // A sparse `table` restricts relay candidates to the endpoint rows of
+  // its NeighborSet and scopes the degraded-view scan to the own row; a
+  // dense one is the legacy unrestricted router.
+  Router(NodeId self, const LinkStateTable& table, RouterConfig cfg);
   ~Router();  // out of line: PathEngine is incomplete here
 
   // Best path choices under each objective; re-evaluated on demand.
@@ -191,8 +191,8 @@ class Router {
   [[nodiscard]] PathChoice best_loss_path_two_hop(NodeId dst,
                                                   TimePoint now = TimePoint::epoch()) const;
 
-  // Candidate intermediates that currently seem up (excludes self, dst;
-  // restricted to N(self) u N(dst) u landmarks over a capped graph).
+  // Candidate intermediates that currently seem up, ascending (excludes
+  // self, dst; restricted to N(self) u N(dst) over a sparse table).
   [[nodiscard]] std::vector<NodeId> live_intermediates(NodeId dst) const;
 
   // Snapshot support: incumbents, switch counters and hold-down state.
@@ -221,10 +221,9 @@ class Router {
 
   [[nodiscard]] PathChoice evaluate_loss(NodeId dst, DstState& st, TimePoint now);
   [[nodiscard]] PathChoice evaluate_lat(NodeId dst, DstState& st, TimePoint now);
-  // Builds the per-destination engine exclusion mask: hold-downs, plus
-  // (over a capped graph) everything outside the candidate set. Returns
-  // nullptr when nothing is excluded (the legacy common case).
-  [[nodiscard]] const std::vector<bool>* exclusion_mask(NodeId dst, TimePoint now);
+  // Relays serving a hold-down for routes to `dst` at `now`, ascending:
+  // read from dst's slice of the sorted hold-down map.
+  [[nodiscard]] std::span<const NodeId> held_vias(NodeId dst, TimePoint now);
   // Registers a down event on the incumbent's via, escalating hold-down.
   void register_down(NodeId dst, const PathSpec& path, TimePoint now);
   static void count_switch(std::int64_t& counter, const std::optional<PathSpec>& inc,
@@ -233,13 +232,10 @@ class Router {
   [[nodiscard]] DstState& dst_state(NodeId dst);
   [[nodiscard]] const DstState* find_dst(NodeId dst) const;
   [[nodiscard]] const Holddown* find_holddown(std::size_t key) const;
-  [[nodiscard]] bool restricted() const { return nbrs_ != nullptr && !nbrs_->full(); }
-  [[nodiscard]] bool is_candidate(NodeId v, NodeId dst) const;
 
   NodeId self_;
   const LinkStateTable& table_;
   RouterConfig cfg_;
-  const NeighborSet* nbrs_ = nullptr;
   // Sorted flat maps: key order is the serialization order, so
   // snapshots are deterministic regardless of touch order.
   std::vector<std::pair<NodeId, DstState>> dst_states_;
@@ -248,7 +244,7 @@ class Router {
   // queries may use it). unique_ptr keeps router.h free of the engine
   // header.
   std::unique_ptr<PathEngine> engine_;
-  std::vector<bool> excluded_scratch_;
+  std::vector<NodeId> held_scratch_;
 };
 
 }  // namespace ronpath

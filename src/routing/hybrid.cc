@@ -30,16 +30,14 @@ HybridSender::~HybridSender() = default;
 PathSpec HybridSender::alternate_path(NodeId src, NodeId dst, const PathSpec& primary) {
   // Best loss-estimate path whose intermediate differs from the primary's
   // (and from the direct path when the primary is direct: true one-hop
-  // disjointness beyond the unavoidable shared edges).
-  const std::vector<bool>* excluded = nullptr;
-  if (!primary.is_direct()) {
-    alt_excluded_.assign(overlay_.table().size(), false);
-    alt_excluded_[primary.via] = true;
-    excluded = &alt_excluded_;
-  }
+  // disjointness beyond the unavoidable shared edges). Every node is a
+  // candidate, not just the endpoint rows.
+  const NodeId primary_via[] = {primary.via};
+  RelayFilter filter;
+  if (!primary.is_direct()) filter.excluded = primary_via;
+  filter.include_direct = !primary.is_direct();
   const EngineChoice cand =
-      alt_engine_->best_loss(src, dst, /*max_hops=*/1, TimePoint::epoch(), excluded,
-                             /*include_direct=*/!primary.is_direct());
+      alt_engine_->best_loss(src, dst, /*max_hops=*/1, TimePoint::epoch(), filter);
   if (!cand.valid) {
     // No candidate at all (tiny overlays): fall back to a random pick.
     return overlay_.route(src, dst, RouteTag::kRand);

@@ -18,8 +18,15 @@
 //                     about.
 //
 // The second copy avoids the first copy's intermediate (and the direct
-// path if the first copy is indirect), maximizing component disjointness
-// under the one-hop constraint.
+// path if the first copy is direct), maximizing component disjointness
+// under the one-hop constraint. Its relay is the best by raw composed
+// loss over every node, not just the endpoint rows the router uses, and
+// it trusts entries forever. A never-published entry therefore reads as
+// zero loss, so over a capped graph the pick is the lowest live id whose
+// two legs both read zero loss, in practice one adjacent to neither
+// endpoint (survival exactly 1.0 ends the path engine's scan there).
+// The pinned checksums include this choice; ROADMAP tracks it as a
+// defect.
 
 #ifndef RONPATH_ROUTING_HYBRID_H_
 #define RONPATH_ROUTING_HYBRID_H_
@@ -91,9 +98,10 @@ class HybridSender {
   // packets, duplications never exceed packets).
   void check_invariants(std::vector<std::string>& out) const;
 
-  // Chooses the alternate path for the second copy: best disjoint via.
-  // Public so the workload layer's FEC mode can route parity shards on
-  // the same detour a duplicate would take (shared disjointness logic).
+  // Chooses the alternate path for the second copy: best disjoint via,
+  // one ascending path-engine scan over all nodes. Public so the
+  // workload layer's FEC mode can route parity shards on the same
+  // detour a duplicate would take (shared disjointness logic).
   [[nodiscard]] PathSpec alternate_path(NodeId src, NodeId dst, const PathSpec& primary);
 
  private:
@@ -108,7 +116,6 @@ class HybridSender {
   // engine, which holds a reference to it.
   RouterConfig alt_cfg_;
   std::unique_ptr<PathEngine> alt_engine_;
-  std::vector<bool> alt_excluded_;
   std::int64_t packets_ = 0;
   std::int64_t copies_ = 0;
   std::int64_t duplicated_ = 0;

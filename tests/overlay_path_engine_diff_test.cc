@@ -16,7 +16,10 @@
 //
 // Additional legacy-equivalence checks pin the engine to the historical
 // router scans it replaced: the one-hop evaluate loop (paths bitwise)
-// and the interleaved two-hop scan (values bitwise).
+// and the interleaved two-hop scan (values bitwise). Capped-graph cases
+// pin the one-relay scan over sparse tables: the router's query (relays
+// from the two endpoint rows) and the hybrid alternate's (every node,
+// trusting entries forever).
 //
 // Case count is overridable via RONPATH_DIFF_CASES (the Release CI job
 // cranks it up).
@@ -29,7 +32,9 @@
 #include <string>
 #include <vector>
 
+#include "net/scale_topology.h"
 #include "overlay/link_state.h"
+#include "overlay/neighbors.h"
 #include "overlay/router.h"
 #include "util/rng.h"
 
@@ -112,6 +117,16 @@ const std::vector<bool>* random_mask(Rng& rng, std::size_t n, std::vector<bool>&
   storage.assign(n, false);
   for (std::size_t v = 0; v < n; ++v) storage[v] = rng.bernoulli(0.25);
   return &storage;
+}
+
+// The engine's form of a mask: the barred nodes, ascending.
+std::vector<NodeId> barred_list(const std::vector<bool>* mask) {
+  std::vector<NodeId> out;
+  if (mask == nullptr) return out;
+  for (NodeId v = 0; v < mask->size(); ++v) {
+    if ((*mask)[v]) out.push_back(v);
+  }
+  return out;
 }
 
 std::vector<bool> liveness(const LinkStateTable& t) {
@@ -375,9 +390,11 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
 
     PathEngine engine(table, cfg);
     const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, k, now, mask);
+    const std::vector<NodeId> barred = barred_list(mask);
+    const RelayFilter filter{.excluded = barred, .include_direct = include_direct};
 
     {
-      const EngineChoice e = engine.best_loss(src, dst, k, now, mask, include_direct);
+      const EngineChoice e = engine.best_loss(src, dst, k, now, filter);
       const NaiveChoice nv = naive_best_loss(L, table, cfg, src, dst, k, now, include_direct);
       ASSERT_EQ(e.valid, nv.valid);
       if (e.valid) {
@@ -393,7 +410,7 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
       }
     }
     {
-      const EngineChoice e = engine.best_latency(src, dst, k, now, mask, include_direct);
+      const EngineChoice e = engine.best_latency(src, dst, k, now, filter);
       const NaiveChoice nv = naive_best_latency(L, table, cfg, src, dst, k, now, include_direct);
       ASSERT_EQ(e.valid, nv.valid);
       if (e.valid) {
@@ -470,6 +487,7 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
     if (dst == src) dst = static_cast<NodeId>((dst + 1) % n);
     std::vector<bool> mask_storage;
     const std::vector<bool>* mask = random_mask(rng, n, mask_storage);
+    const std::vector<NodeId> barred = barred_list(mask);
 
     PathEngine engine(table, cfg);
 
@@ -488,7 +506,7 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
           best_loss = l;
         }
       }
-      const EngineChoice e = engine.best_loss(src, dst, 1, now, mask);
+      const EngineChoice e = engine.best_loss(src, dst, 1, now, {.excluded = barred});
       ASSERT_TRUE(e.valid);
       ASSERT_EQ(e.path.to_spec(src, dst), best);
       ASSERT_EQ(e.loss, best_loss);
@@ -509,7 +527,7 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
           best_lat = d;
         }
       }
-      const EngineChoice e = engine.best_latency(src, dst, 1, now, mask);
+      const EngineChoice e = engine.best_latency(src, dst, 1, now, {.excluded = barred});
       ASSERT_TRUE(e.valid);
       ASSERT_EQ(e.path.to_spec(src, dst), best);
       ASSERT_EQ(e.latency, best_lat);
@@ -566,6 +584,121 @@ TEST(PathEngineDiff, TwoHopValueMatchesLegacyInterleavedScan) {
         static_cast<double>(e.hop_count) * cfg.indirect_loss_penalty;
     ASSERT_EQ(repriced, e.loss);
   }
+}
+
+// ---------------------------------------------------------------------
+// Capped graphs: the one-relay scan over a sparse table, as the router
+// and the hybrid alternate issue it, against the naive reference.
+
+// A random capped neighbor graph: every row holds at most a few
+// k-nearest peers plus 0-3 landmarks, so most pairs are not adjacent.
+NeighborSet random_graph(Rng& rng) {
+  const std::size_t n = 8 + rng.next_below(33);
+  const Topology topo = scale_topology({.nodes = n, .seed = rng.next_u64()});
+  return NeighborSet::build(topo, 1 + rng.next_below(4), rng.next_below(4));
+}
+
+// Publishes most directed edges of the graph. A third of the cases draw
+// loss 0 for half the links, so relays with two lossless legs (and the
+// loss scan's early exit) are common.
+void random_sparse_table(Rng& rng, const NeighborSet& g, LinkStateTable& t, TimePoint now) {
+  const bool lossless_heavy = rng.bernoulli(0.33);
+  for (NodeId a = 0; a < g.size(); ++a) {
+    for (const NodeId b : g.neighbors(a)) {
+      if (!rng.bernoulli(0.85)) continue;  // never published
+      LinkMetrics m = random_metrics(rng, now);
+      if (lossless_heavy && rng.bernoulli(0.5)) m.loss = 0.0;
+      m.stride = static_cast<std::uint32_t>(1 + rng.next_below(3));
+      t.publish(a, b, m);
+    }
+  }
+}
+
+// A query endpoint; a landmark a third of the time when there is one.
+NodeId random_endpoint(Rng& rng, const NeighborSet& g) {
+  if (!g.landmarks().empty() && rng.bernoulli(0.33)) {
+    return g.landmarks()[rng.next_below(g.landmarks().size())];
+  }
+  return static_cast<NodeId>(rng.next_below(g.size()));
+}
+
+// Every field of the engine's answer against the naive one, bitwise.
+void expect_same(const EngineChoice& e, const NaiveChoice& nv) {
+  ASSERT_EQ(e.valid, nv.valid);
+  if (!e.valid) return;
+  ASSERT_EQ(engine_relays(e), nv.relays);
+  ASSERT_EQ(e.hop_count, nv.hops);
+  ASSERT_EQ(e.loss, nv.loss);
+  ASSERT_EQ(e.latency, nv.latency);
+}
+
+TEST(PathEngineDiff, CappedGraphScansMatchNaive) {
+  const int cases = diff_cases(5500) / 2;
+  Rng rng(0x2545f4914f6cdd1dULL);
+  int router_exits = 0;
+  int alt_exits = 0;
+  for (int i = 0; i < cases; ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const NeighborSet g = random_graph(rng);
+    ASSERT_FALSE(g.full());
+    const auto n = static_cast<NodeId>(g.size());
+    const TimePoint now =
+        TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
+    LinkStateTable table(n, &g);
+    random_sparse_table(rng, g, table, now);
+    const NodeId src = random_endpoint(rng, g);
+    NodeId dst = random_endpoint(rng, g);
+    if (dst == src) dst = static_cast<NodeId>((dst + 1) % n);
+    std::vector<bool> held_storage;
+    const std::vector<bool>* held = random_mask(rng, n, held_storage);
+    const std::vector<NodeId> barred = barred_list(held);
+    const bool include_direct = !rng.bernoulli(0.25);
+
+    // Router query: relays from N(src) u N(dst) only; the naive
+    // reference gets the restriction as an explicit mask.
+    {
+      const RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+      std::vector<bool> mask(n, true);
+      for (const NodeId v : g.neighbors(src)) mask[v] = false;
+      for (const NodeId v : g.neighbors(dst)) mask[v] = false;
+      for (const NodeId v : barred) mask[v] = true;
+      const RelayFilter filter{
+          .endpoint_rows = true, .excluded = barred, .include_direct = include_direct};
+      PathEngine engine(table, cfg);
+      for (int k = 1; k <= 2; ++k) {
+        SCOPED_TRACE("router k=" + std::to_string(k));
+        const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, k, now, &mask);
+        expect_same(engine.best_loss(src, dst, k, now, filter),
+                    naive_best_loss(L, table, cfg, src, dst, k, now, include_direct));
+        // The loss scan evaluated fewer relays than the pool holds only
+        // if it stopped early.
+        if (k == 1 && engine.stats().edges_relaxed < relay_pool(table, src, dst, &mask).size()) {
+          ++router_exits;
+        }
+        expect_same(engine.best_latency(src, dst, k, now, filter),
+                    naive_best_latency(L, table, cfg, src, dst, k, now, include_direct));
+      }
+    }
+    // Alternate query: every node is a candidate, entries trusted
+    // forever, so a relay adjacent to neither endpoint reads two
+    // pristine zero-loss legs.
+    {
+      RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+      cfg.entry_ttl = Duration::zero();
+      const RelayFilter filter{.excluded = barred, .include_direct = include_direct};
+      PathEngine engine(table, cfg);
+      const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, 1, now, held);
+      expect_same(engine.best_loss(src, dst, 1, now, filter),
+                  naive_best_loss(L, table, cfg, src, dst, 1, now, include_direct));
+      if (engine.stats().edges_relaxed < relay_pool(table, src, dst, held).size()) ++alt_exits;
+      expect_same(engine.best_latency(src, dst, 1, now, filter),
+                  naive_best_latency(L, table, cfg, src, dst, 1, now, include_direct));
+    }
+    if (HasFatalFailure()) return;
+  }
+  // Both scans took the survival-1.0 exit in a good share of cases.
+  EXPECT_GE(router_exits * 20, cases);
+  EXPECT_GE(alt_exits * 4, cases);
 }
 
 }  // namespace

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "net/scale_topology.h"
 #include "overlay/link_state.h"
+#include "overlay/neighbors.h"
 
 namespace ronpath {
 namespace {
@@ -180,6 +184,55 @@ TEST(Router, LiveIntermediatesExcludesEndpointsAndDown) {
     EXPECT_NE(v, 1);
     EXPECT_NE(v, 3);
   }
+
+  // Capped graph: the merged endpoint rows must equal the historical
+  // O(n) candidate filter element by element and in order, since
+  // route(kRand) indexes this list with an RNG draw.
+  const Topology topo = scale_topology({.nodes = 60, .seed = 7});
+  const NeighborSet g = NeighborSet::build(topo, 3, 2);
+  ASSERT_FALSE(g.full());
+  LinkStateTable capped(g.size(), &g);
+  for (NodeId a = 0; a < g.size(); ++a) {
+    for (const NodeId b : g.neighbors(a)) capped.publish(a, b, metrics(0.0, Duration::millis(10)));
+  }
+  const NodeId landmark = g.landmarks()[0];
+  std::vector<NodeId> plain;  // non-landmarks, ascending
+  for (NodeId v = 0; v < g.size(); ++v) {
+    if (!g.is_landmark(v)) plain.push_back(v);
+  }
+  // One non-landmark relay candidate seems down on all its links.
+  NodeId down = kInvalidNode;
+  for (const NodeId v : g.neighbors(plain[0])) {
+    if (!g.is_landmark(v) && v != plain[1]) {
+      down = v;
+      break;
+    }
+  }
+  ASSERT_NE(down, kInvalidNode);
+  for (const NodeId o : g.neighbors(down)) {
+    capped.publish(down, o, metrics(0.0, Duration::millis(10), true));
+    capped.publish(o, down, metrics(0.0, Duration::millis(10), true));
+  }
+  ASSERT_FALSE(capped.node_seems_up(down));
+  const auto legacy = [&](NodeId self, NodeId dst) {
+    std::vector<NodeId> out;
+    for (NodeId v = 0; v < g.size(); ++v) {
+      if (v == self || v == dst) continue;
+      if (!(g.adjacent(self, v) || g.adjacent(dst, v) || g.is_landmark(v))) continue;
+      if (!capped.node_seems_up(v)) continue;
+      out.push_back(v);
+    }
+    return out;
+  };
+  // A landmark's row holds every other node; a plain pair's rows do not.
+  const std::vector<NodeId> via_landmark =
+      Router(plain[0], capped, RouterConfig{}).live_intermediates(landmark);
+  EXPECT_EQ(via_landmark, legacy(plain[0], landmark));
+  EXPECT_EQ(via_landmark.size(), g.size() - 3);  // all but the endpoints and `down`
+  const std::vector<NodeId> via_plain =
+      Router(plain[0], capped, RouterConfig{}).live_intermediates(plain[1]);
+  EXPECT_EQ(via_plain, legacy(plain[0], plain[1]));
+  EXPECT_LT(via_plain.size(), g.size() / 2);
 }
 
 TEST(Router, TwoHopComposesLoss) {
