@@ -11,7 +11,7 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(12));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(12), bench::kDuration);
 
   std::printf("== Ablation: loss estimator (last-100 window vs EWMA) ==\n");
   TextTable t({"estimator", "direct %", "loss %", "improvement", "loss-tactic lat (ms)"});

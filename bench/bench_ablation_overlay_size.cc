@@ -47,8 +47,8 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  const auto args =
-      bench::BenchArgs::parse(static_cast<int>(rest.size()), rest.data(), Duration::hours(10));
+  const auto args = bench::BenchArgs::parse(static_cast<int>(rest.size()), rest.data(),
+                                            Duration::hours(10), bench::kDuration);
   const std::size_t testbed_max = testbed_2003().size();
 
   std::printf("== Ablation: overlay size vs reactive benefit and overhead ==\n");

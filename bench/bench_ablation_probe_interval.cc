@@ -12,7 +12,8 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(12));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(12),
+                                            bench::kDuration | bench::kCsv);
 
   std::printf("== Ablation: probe interval vs reactive benefit ==\n");
   TextTable t({"probe interval", "direct %", "loss %", "improvement", "probe KB/s/node"});

@@ -1,12 +1,14 @@
 // Shared helpers for the table/figure bench binaries.
 //
 // Every bench accepts:
-//   --hours H / --days D   measured duration (default: bench-specific)
 //   --seed S               RNG seed
+//   --quick                very short run (CI smoke)
+// and, when it reads them (BenchFlag; any other flag exits 2):
+//   --hours H / --days D   measured duration (default: bench-specific)
 //   --trials N             independent realizations (default 1)
 //   --jobs J               worker threads for the trials (default 1)
 //   --csv PATH             also dump machine-readable series
-//   --quick                very short run (CI smoke)
+//   --fault-scenario NAME|FILE  scripted fault schedule
 // and prints the paper table/figure it reproduces alongside the paper's
 // published values where applicable. With --trials > 1 the loss tables
 // carry mean±95%-CI cells (core/trials.h); with the default --trials 1
@@ -36,6 +38,15 @@
 
 namespace ronpath::bench {
 
+// The optional flags a bench reads. BenchArgs::parse rejects every flag
+// outside its caller's set as an unknown argument.
+enum BenchFlag : unsigned {
+  kDuration = 1u << 0,       // --hours H / --days D
+  kTrials = 1u << 1,         // --trials N / --jobs J
+  kCsv = 1u << 2,            // --csv PATH
+  kFaultScenario = 1u << 3,  // --fault-scenario NAME|FILE
+};
+
 struct BenchArgs {
   Duration duration = Duration::hours(24);
   std::uint64_t seed = 42;
@@ -47,12 +58,6 @@ struct BenchArgs {
   // resolved, validated fault-DSL text (empty = no injection).
   std::string fault_scenario;
   std::string fault_dsl;
-  // --shards: 0 keeps the legacy single-stream underlay; any positive
-  // value runs the sharded discipline (byte-identical output at every
-  // positive value; see DESIGN.md §13). 0 itself is rejected on the
-  // command line — "--shards 0" is almost certainly a typo for legacy
-  // mode, which is the default when the flag is absent.
-  int shards = 0;
 
   [[nodiscard]] bool multi_trial() const { return trials > 1; }
 
@@ -123,13 +128,12 @@ struct BenchArgs {
   // Applies the parsed --fault-scenario (if any) to an experiment:
   // schedule injection plus the graceful-degradation control plane.
   void apply_fault(ExperimentConfig& cfg) const {
-    cfg.shards = shards;
     if (fault_dsl.empty()) return;
     cfg.fault_dsl = fault_dsl;
     cfg.graceful_degradation = true;
   }
 
-  static BenchArgs parse(int argc, char** argv, Duration default_duration) {
+  static BenchArgs parse(int argc, char** argv, Duration default_duration, unsigned flags) {
     BenchArgs a;
     a.duration = default_duration;
     for (int i = 1; i < argc; ++i) {
@@ -141,31 +145,31 @@ struct BenchArgs {
         }
         return argv[++i];
       };
-      if (arg == "--hours") {
+      if (arg == "--hours" && (flags & kDuration)) {
         a.duration = Duration::hours(parse_int("--hours", next(), 1, 24 * 365));
-      } else if (arg == "--days") {
+      } else if (arg == "--days" && (flags & kDuration)) {
         a.duration = Duration::days(parse_int("--days", next(), 1, 365));
       } else if (arg == "--seed") {
         a.seed = static_cast<std::uint64_t>(
             parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
-      } else if (arg == "--trials") {
+      } else if (arg == "--trials" && (flags & kTrials)) {
         a.trials = static_cast<int>(parse_int("--trials", next(), 1, 100000));
-      } else if (arg == "--jobs") {
+      } else if (arg == "--jobs" && (flags & kTrials)) {
         a.jobs = static_cast<int>(parse_int("--jobs", next(), 1, 1024));
-      } else if (arg == "--shards") {
-        a.shards = static_cast<int>(parse_int("--shards", next(), 1, 256));
-      } else if (arg == "--csv") {
+      } else if (arg == "--csv" && (flags & kCsv)) {
         a.csv_path = next();
-      } else if (arg == "--fault-scenario") {
+      } else if (arg == "--fault-scenario" && (flags & kFaultScenario)) {
         a.fault_scenario = next();
         a.fault_dsl = load_fault_dsl(a.fault_scenario.c_str());
       } else if (arg == "--quick") {
         a.quick = true;
         a.duration = Duration::hours(2);
       } else if (arg == "--help") {
-        std::printf("usage: %s [--hours H|--days D] [--seed S] [--trials N] [--jobs J] "
-                    "[--shards K] [--csv PATH] [--fault-scenario NAME|FILE] [--quick]\n",
-                    argv[0]);
+        std::printf("usage: %s%s [--seed S]%s%s%s [--quick]\n", argv[0],
+                    (flags & kDuration) ? " [--hours H|--days D]" : "",
+                    (flags & kTrials) ? " [--trials N] [--jobs J]" : "",
+                    (flags & kCsv) ? " [--csv PATH]" : "",
+                    (flags & kFaultScenario) ? " [--fault-scenario NAME|FILE]" : "");
         std::exit(0);
       } else {
         std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());

@@ -21,11 +21,11 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::minutes(25));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::minutes(25),
+                                            bench::kTrials | bench::kCsv | bench::kFaultScenario);
 
   FaultMatrixConfig cfg;
   cfg.seed = args.seed;
-  cfg.shards = args.shards;
   if (args.quick) cfg.node_count = 8;
 
   // Scenario selection: the full canonical suite, or the one named /

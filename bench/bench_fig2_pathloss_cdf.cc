@@ -28,7 +28,8 @@ std::vector<double> run_and_extract(Dataset dataset, const bench::BenchArgs& arg
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24),
+                                            bench::kDuration | bench::kCsv);
 
   std::printf("== Figure 2 - CDF of long-term per-path loss rates ==\n");
   const auto loss2003 = run_and_extract(Dataset::kRon2003, args, PairScheme::kDirectRand);

@@ -15,7 +15,8 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(48));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(48),
+                                            bench::kDuration | bench::kCsv);
 
   ExperimentConfig cfg;
   cfg.dataset = Dataset::kRon2003;

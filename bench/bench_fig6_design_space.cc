@@ -18,7 +18,8 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(6));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(6),
+                                            bench::kDuration | bench::kCsv);
 
   // Derive the limits from a measured run, as the paper derives its
   // discussion from the Section 4 numbers.

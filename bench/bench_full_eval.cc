@@ -97,7 +97,9 @@ void print_figure_quantiles(const Aggregator& agg) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24),
+                                            bench::kDuration | bench::kTrials | bench::kCsv |
+                                                bench::kFaultScenario);
 
   ExperimentConfig cfg;
   cfg.dataset = Dataset::kRon2003;

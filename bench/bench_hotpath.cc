@@ -9,14 +9,6 @@
 //   ns/sample   : ComponentProcess::sample on a roughly-monotone stream
 //                 against a busy component (bursts, episodes, outages,
 //                 diurnal modulation, static boosts)
-// and, with --shards K, the sharded single-trial engine (src/pdes):
-//   sharded packets/sec : the same packet mix injected open-loop into a
-//                 pdes::Engine at K shards. The result checksum is
-//                 REQUIRED to be identical at every shard count — the
-//                 engine's determinism contract — so only wall-clock may
-//                 change. --shard-sweep runs K in {1,2,4,8}, reports the
-//                 per-count throughput (the scaling-efficiency row of
-//                 BENCH_hotpath.json) and exits 2 on any checksum skew.
 //
 // The iteration counts are fixed so the simulated work is identical
 // across code versions; only wall-clock changes. Each workload runs
@@ -31,7 +23,6 @@
 //
 // Usage:
 //   bench_hotpath [--quick] [--reps N] [--seed S] [--label NAME]
-//                 [--shards K] [--shard-sweep]
 //                 [--out PATH] [--compare BENCH_hotpath.json]
 //                 [--max-regress F]
 
@@ -47,7 +38,6 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/testbed.h"
@@ -55,7 +45,6 @@
 #include "net/config.h"
 #include "net/loss_process.h"
 #include "net/network.h"
-#include "pdes/engine.h"
 #include "util/rng.h"
 #include "util/trajectory.h"
 
@@ -107,14 +96,6 @@ struct Result {
   // any optimization that changes these changed simulation behaviour.
   std::uint64_t packet_checksum = 0;
   std::uint64_t sample_checksum = 0;
-  // Sharded-engine workload (--shards / --shard-sweep); shards == 0
-  // means it did not run and none of these fields are emitted.
-  int shards = 0;
-  std::int64_t sharded_packets = 0;
-  double sharded_packets_per_sec = 0.0;
-  std::uint64_t sharded_checksum = 0;
-  bool sweep = false;
-  double sweep_pps[4] = {0.0, 0.0, 0.0, 0.0};  // K = 1, 2, 4, 8
 };
 
 // --------------------------------------------------------------- packets/sec
@@ -162,82 +143,6 @@ void bench_packets(Result& r, std::int64_t n, std::uint64_t seed) {
   r.packets = n;
   r.packets_per_sec = static_cast<double>(n) / dt;
   r.packet_checksum = checksum;
-}
-
-// -------------------------------------------------------- sharded packets/sec
-
-// One sharded-engine run: the bench_packets mix (plus a two-relay slice,
-// which the open-loop engine handles but transmit's stream above keeps
-// simple) injected at a fixed 10 us cadence, then drained with
-// run_to_end. Returns packets/sec; writes the seq-order result checksum,
-// which must not depend on `shards`.
-double bench_sharded_once(std::int64_t n, std::uint64_t seed, int shards,
-                          std::uint64_t& checksum) {
-  Topology topo = testbed_2003();
-  const auto n_sites = static_cast<NodeId>(topo.size());
-  NetConfig cfg = NetConfig::profile_2003(Duration::hours(48));
-  Network net(std::move(topo), std::move(cfg), Duration::hours(48), Rng(seed));
-  net.enable_sharded_underlay();
-
-  pdes::EngineConfig ecfg;
-  ecfg.shards = shards;
-  pdes::Engine engine(net, ecfg);
-
-  Rng pick(seed ^ 0xd15c0ULL);
-  TimePoint t = TimePoint::epoch() + Duration::seconds(1);
-
-  const double t0 = now_seconds();
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto src = static_cast<NodeId>(pick.next_below(n_sites));
-    auto dst = src;
-    while (dst == src) dst = static_cast<NodeId>(pick.next_below(n_sites));
-    PathSpec path{src, dst, kDirectVia};
-    if (i % 3 == 0) {  // every third packet rides a one-hop alternate...
-      auto via = src;
-      while (via == src || via == dst) via = static_cast<NodeId>(pick.next_below(n_sites));
-      path.via = via;
-      if (i % 9 == 0) {  // ...every ninth a two-relay chain
-        auto via2 = src;
-        while (via2 == src || via2 == dst || via2 == via) {
-          via2 = static_cast<NodeId>(pick.next_below(n_sites));
-        }
-        path.via2 = via2;
-      }
-    }
-    const TrafficClass cls = (i % 16 == 0) ? TrafficClass::kProbe : TrafficClass::kData;
-    engine.inject(path, t, cls);
-    t += Duration::micros(10);
-  }
-  engine.run_to_end();
-  const double dt = now_seconds() - t0;
-
-  checksum = engine.checksum();
-  return static_cast<double>(n) / dt;
-}
-
-void bench_sharded(Result& r, std::int64_t n, std::uint64_t seed, int shards, bool sweep) {
-  r.shards = shards;
-  r.sharded_packets = n;
-  r.sweep = sweep;
-  r.sharded_packets_per_sec = bench_sharded_once(n, seed, shards, r.sharded_checksum);
-  if (!sweep) return;
-  constexpr int kSweep[4] = {1, 2, 4, 8};
-  for (int k = 0; k < 4; ++k) {
-    if (kSweep[k] == shards) {
-      r.sweep_pps[k] = r.sharded_packets_per_sec;
-      continue;
-    }
-    std::uint64_t sum = 0;
-    r.sweep_pps[k] = bench_sharded_once(n, seed, kSweep[k], sum);
-    if (sum != r.sharded_checksum) {
-      std::fprintf(stderr,
-                   "sharded checksum skew: %016llx at %d shards vs %016llx at %d shards "
-                   "(determinism contract broken)\n",
-                   static_cast<unsigned long long>(sum), kSweep[k],
-                   static_cast<unsigned long long>(r.sharded_checksum), shards);
-      std::exit(2);
-    }
-  }
 }
 
 // ---------------------------------------------------------------- events/sec
@@ -343,29 +248,6 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
                static_cast<long long>(r.samples), r.ns_per_sample,
                static_cast<unsigned long long>(r.packet_checksum),
                static_cast<unsigned long long>(r.sample_checksum));
-  if (r.shards > 0) {
-    std::fprintf(f,
-                 ",\n"
-                 "  \"shards\": %d,\n"
-                 "  \"cores\": %u,\n"
-                 "  \"sharded_packets\": %lld,\n"
-                 "  \"sharded_packets_per_sec\": %.1f,\n"
-                 "  \"sharded_checksum\": \"%016llx\"",
-                 r.shards, std::thread::hardware_concurrency(),
-                 static_cast<long long>(r.sharded_packets), r.sharded_packets_per_sec,
-                 static_cast<unsigned long long>(r.sharded_checksum));
-  }
-  if (r.sweep) {
-    std::fprintf(f,
-                 ",\n"
-                 "  \"sharded_pps_1\": %.1f,\n"
-                 "  \"sharded_pps_2\": %.1f,\n"
-                 "  \"sharded_pps_4\": %.1f,\n"
-                 "  \"sharded_pps_8\": %.1f,\n"
-                 "  \"scaling_8x\": %.3f",
-                 r.sweep_pps[0], r.sweep_pps[1], r.sweep_pps[2], r.sweep_pps[3],
-                 r.sweep_pps[0] > 0.0 ? r.sweep_pps[3] / r.sweep_pps[0] : 0.0);
-  }
   std::fprintf(f, "\n}\n");
 }
 
@@ -376,9 +258,8 @@ int compare_against(const char* path, const Result& r, double max_regress) {
     return 2;
   }
   // Baseline = the LAST trajectory entry only. Older entries may carry
-  // fields the newest one lacks (pre-PR6 rows have no sharded columns,
-  // and vice versa), so the keys must be resolved within one entry, not
-  // by a whole-file scan.
+  // fields the newest one lacks (the retired sharded-engine columns), so
+  // the keys must be resolved within one entry, not by a whole-file scan.
   const std::string entry = traj::last_entry(*text);
   if (entry.empty()) {
     std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
@@ -389,17 +270,12 @@ int compare_against(const char* path, const Result& r, double max_regress) {
   const struct {
     const char* key;
     double measured;
-    bool optional;  // skipped when missing on either side
   } checks[] = {
-      {"packets_per_sec", r.packets_per_sec, false},
-      {"events_per_sec", r.events_per_sec, false},
-      {"sharded_packets_per_sec", r.sharded_packets_per_sec, true},
+      {"packets_per_sec", r.packets_per_sec},
+      {"events_per_sec", r.events_per_sec},
   };
   for (const auto& c : checks) {
     const double committed = traj::number_field(entry, c.key);
-    if (c.optional && (committed <= 0.0 || c.measured <= 0.0)) {
-      continue;  // dimension absent in the baseline or not measured this run
-    }
     if (committed <= 0.0) {
       std::fprintf(stderr, "--compare: no %s in the last entry of %s\n", c.key, path);
       return 2;
@@ -424,8 +300,6 @@ int run(int argc, char** argv) {
   std::int64_t n_samples = 2'000'000;
   std::uint64_t seed = 42;
   int reps = 3;
-  int shards = 0;       // 0 = sharded workload off
-  bool shard_sweep = false;
   std::string label = "run";
   std::string out_path;
   const char* compare_path = nullptr;
@@ -449,12 +323,6 @@ int run(int argc, char** argv) {
           parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--reps") {
       reps = static_cast<int>(parse_int("--reps", next(), 1, 1000));
-    } else if (arg == "--shards") {
-      // "--shards 0" and non-numeric values exit 2 instead of silently
-      // running legacy.
-      shards = static_cast<int>(parse_int("--shards", next(), 1, 256));
-    } else if (arg == "--shard-sweep") {
-      shard_sweep = true;
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--out") {
@@ -464,8 +332,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--max-regress") {
       max_regress = parse_positive_double("--max-regress", next());
     } else if (arg == "--help") {
-      std::printf("usage: %s [--quick] [--reps N] [--seed S] [--shards K] [--shard-sweep] "
-                  "[--label NAME] [--out PATH] [--compare FILE] [--max-regress F]\n",
+      std::printf("usage: %s [--quick] [--reps N] [--seed S] [--label NAME] [--out PATH] "
+                  "[--compare FILE] [--max-regress F]\n",
                   argv[0]);
       return 0;
     } else {
@@ -477,31 +345,23 @@ int run(int argc, char** argv) {
   // Best-of-reps: every rep rebuilds the same fixed-seed world, so the
   // checksums must agree bit-for-bit across reps; the best throughput is
   // the closest observation of the code's actual cost on a noisy machine.
-  if (shard_sweep && shards == 0) shards = 1;
   Result r;
   for (int rep = 0; rep < reps; ++rep) {
     Result cur;
     bench_packets(cur, n_packets, seed);
     bench_events(cur, n_events, seed);
     bench_samples(cur, n_samples, seed);
-    // The sweep re-runs every shard count each rep (it also re-checks
-    // cross-count checksum equality each time).
-    if (shards > 0) bench_sharded(cur, n_packets, seed, shards, shard_sweep);
     if (rep == 0) {
       r = cur;
       continue;
     }
-    if (cur.packet_checksum != r.packet_checksum ||
-        cur.sample_checksum != r.sample_checksum ||
-        cur.sharded_checksum != r.sharded_checksum) {
+    if (cur.packet_checksum != r.packet_checksum || cur.sample_checksum != r.sample_checksum) {
       std::fprintf(stderr, "checksum mismatch across reps: benchmark is nondeterministic\n");
       return 2;
     }
     r.packets_per_sec = std::max(r.packets_per_sec, cur.packets_per_sec);
     r.events_per_sec = std::max(r.events_per_sec, cur.events_per_sec);
     r.ns_per_sample = std::min(r.ns_per_sample, cur.ns_per_sample);
-    r.sharded_packets_per_sec = std::max(r.sharded_packets_per_sec, cur.sharded_packets_per_sec);
-    for (int k = 0; k < 4; ++k) r.sweep_pps[k] = std::max(r.sweep_pps[k], cur.sweep_pps[k]);
   }
 
   std::printf("packets/sec : %12.1f  (%lld packets, checksum %016llx)\n", r.packets_per_sec,
@@ -512,18 +372,6 @@ int run(int argc, char** argv) {
   std::printf("ns/sample   : %12.2f  (%lld samples, checksum %016llx)\n", r.ns_per_sample,
               static_cast<long long>(r.samples),
               static_cast<unsigned long long>(r.sample_checksum));
-  if (r.shards > 0) {
-    std::printf("sharded/sec : %12.1f  (%lld packets, %d shards, %u cores, checksum %016llx)\n",
-                r.sharded_packets_per_sec, static_cast<long long>(r.sharded_packets), r.shards,
-                std::thread::hardware_concurrency(),
-                static_cast<unsigned long long>(r.sharded_checksum));
-  }
-  if (r.sweep) {
-    std::printf("shard sweep : 1:%.1f 2:%.1f 4:%.1f 8:%.1f pkt/s (8-shard scaling %.2fx, "
-                "checksums identical)\n",
-                r.sweep_pps[0], r.sweep_pps[1], r.sweep_pps[2], r.sweep_pps[3],
-                r.sweep_pps[0] > 0.0 ? r.sweep_pps[3] / r.sweep_pps[0] : 0.0);
-  }
 
   if (!out_path.empty()) {
     std::FILE* f = std::fopen(out_path.c_str(), "w");

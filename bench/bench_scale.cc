@@ -33,8 +33,7 @@
 // BENCH_scale.json); --compare reads the committed trajectory and exits
 // 1 when packets/sec or events/sec of any tier measured this run
 // regressed by more than --max-regress x against the LAST entry (tiers
-// absent on either side are skipped, like bench_hotpath's pre-PR6
-// sharded columns).
+// absent on either side are skipped).
 //
 // Usage:
 //   bench_scale [--nodes N[,N...]] [--fanout K] [--landmarks L]

@@ -29,7 +29,8 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(1));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(1),
+                                            bench::kDuration | bench::kCsv);
 
   FaultMatrixConfig cfg;
   cfg.node_count = 8;

@@ -23,7 +23,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(2));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(2), bench::kDuration);
 
   static constexpr Row kRows[] = {
       {Dataset::kRonNarrow, 3.0, 4'763'082},

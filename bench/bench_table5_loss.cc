@@ -54,7 +54,9 @@ void dump_csv_ci(const std::string& path, const bench::BenchArgs& args,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24),
+                                            bench::kDuration | bench::kTrials | bench::kCsv |
+                                                bench::kFaultScenario);
 
   ExperimentConfig cfg;
   cfg.dataset = Dataset::kRon2003;

@@ -19,7 +19,9 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24));
+  const auto args = bench::BenchArgs::parse(argc, argv, Duration::hours(24),
+                                            bench::kDuration | bench::kTrials | bench::kCsv |
+                                                bench::kFaultScenario);
 
   ExperimentConfig cfg;
   cfg.dataset = Dataset::kRonWide;

@@ -7,9 +7,8 @@
 // and controller switches, plus the cross-policy SLO-attainment matrix.
 //
 // The matrix is a pure function of (config, seed): the report is
-// byte-identical at any --jobs and (for --shards > 0) any shard count,
-// and its FNV-1a checksum is emitted in the JSON entry so CI pins
-// simulation behaviour, not just throughput.
+// byte-identical at any --jobs, and its FNV-1a checksum is emitted in
+// the JSON entry so CI pins simulation behaviour, not just throughput.
 //
 // The headline claim is checked, not just printed: the run exits 1
 // unless the adaptive policy strictly beats BOTH static policies on at
@@ -20,8 +19,8 @@
 // checksum drift).
 //
 // Usage:
-//   bench_workload [--quick] [--seed S] [--jobs J] [--shards K]
-//                  [--spec FILE] [--label NAME] [--out PATH]
+//   bench_workload [--quick] [--seed S] [--jobs J] [--spec FILE]
+//                  [--label NAME] [--out PATH]
 //                  [--compare BENCH_workload.json] [--max-regress F]
 
 #include <chrono>
@@ -50,7 +49,6 @@ double now_seconds() {
 
 struct Result {
   bool quick = false;
-  int shards = 0;
   std::int64_t cells = 0;
   std::int64_t packets = 0;  // application packets across all cells
   double wall_s = 0.0;
@@ -67,7 +65,6 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
                "  \"schema\": \"ronpath-bench-workload-v1\",\n"
                "  \"label\": \"%s\",\n"
                "  \"quick\": %d,\n"
-               "  \"shards\": %d,\n"
                "  \"cells\": %lld,\n"
                "  \"packets\": %lld,\n"
                "  \"wall_s\": %.2f,\n"
@@ -75,9 +72,8 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
                "  \"adaptive_wins\": %d,\n"
                "  \"report_checksum\": \"%016llx\"\n"
                "}\n",
-               label.c_str(), r.quick ? 1 : 0, r.shards,
-               static_cast<long long>(r.cells), static_cast<long long>(r.packets), r.wall_s,
-               r.packets_per_sec, r.adaptive_wins,
+               label.c_str(), r.quick ? 1 : 0, static_cast<long long>(r.cells),
+               static_cast<long long>(r.packets), r.wall_s, r.packets_per_sec, r.adaptive_wins,
                static_cast<unsigned long long>(r.report_checksum));
 }
 
@@ -111,11 +107,9 @@ int compare_against(const char* path, const Result& r, double max_regress) {
   }
 
   // The report checksum pins what is simulated, not how fast — but only
-  // when the baseline row ran the same shape (quick mode changes the
-  // workload, shard mode changes the underlay discipline).
+  // when the baseline row ran the same shape (quick mode changes the workload).
   const bool same_shape =
       traj::number_field(entry, "quick") == (r.quick ? 1.0 : 0.0) &&
-      traj::number_field(entry, "shards") == static_cast<double>(r.shards) &&
       static_cast<std::int64_t>(traj::number_field(entry, "packets")) == r.packets;
   if (same_shape) {
     char measured_hex[32];
@@ -166,8 +160,6 @@ int run(int argc, char** argv) {
           "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--jobs") {
       jobs = static_cast<int>(BenchArgs::parse_int("--jobs", next(), 1, 1024));
-    } else if (arg == "--shards") {
-      cfg.cell.shards = static_cast<int>(BenchArgs::parse_int("--shards", next(), 1, 256));
     } else if (arg == "--spec") {
       spec_path = next();
     } else if (arg == "--label") {
@@ -180,8 +172,8 @@ int run(int argc, char** argv) {
       max_regress = BenchArgs::parse_double("--max-regress", next(),
                                             std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
-      std::printf("usage: %s [--quick] [--seed S] [--jobs J] [--shards K] [--spec FILE] "
-                  "[--label NAME] [--out PATH] [--compare FILE] [--max-regress F]\n",
+      std::printf("usage: %s [--quick] [--seed S] [--jobs J] [--spec FILE] [--label NAME] "
+                  "[--out PATH] [--compare FILE] [--max-regress F]\n",
                   argv[0]);
       return 0;
     } else {
@@ -226,7 +218,6 @@ int run(int argc, char** argv) {
 
   Result r;
   r.quick = quick;
-  r.shards = cfg.cell.shards;
   r.cells = static_cast<std::int64_t>(result.cells.size());
   for (const WorkloadCell& cell : result.cells) {
     for (const ClassCell& cc : cell.classes) {

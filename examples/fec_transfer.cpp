@@ -28,7 +28,7 @@ struct TransferResult {
 };
 
 TransferResult run_transfer(OverlayNetwork& overlay, Scheduler& sched, NodeId src, NodeId dst,
-                            std::size_t k, std::size_t m, bool two_paths, Rng rng) {
+                            std::size_t k, std::size_t m, bool two_paths) {
   FecEncoder enc(k, m);
   FecDecoder dec(k, m);
   TransferResult res;
@@ -80,7 +80,7 @@ int main() {
   std::printf("%-22s %10s %14s %14s %10s\n", "strategy", "lost", "delivered", "reconstructed",
               "goodput");
   for (bool two_paths : {false, true}) {
-    const auto r = run_transfer(overlay, sched, src, dst, 5, 2, two_paths, rng.fork("xfer"));
+    const auto r = run_transfer(overlay, sched, src, dst, 5, 2, two_paths);
     std::printf("%-22s %10lld %14lld %14lld %9.2f%%\n",
                 two_paths ? "RS(5,2) on two paths" : "RS(5,2) single path",
                 static_cast<long long>(r.shards_lost), static_cast<long long>(r.delivered),

@@ -13,9 +13,6 @@ namespace ronpath {
 namespace {
 
 Topology cell_topology(const FaultMatrixConfig& cfg) {
-  if (cfg.lazy_underlay && cfg.shards > 0) {
-    throw std::invalid_argument("lazy_underlay is incompatible with sharded execution");
-  }
   if (cfg.synth_nodes > 0) {
     ScaleTopologyParams params;
     params.nodes = cfg.synth_nodes;
@@ -53,15 +50,6 @@ CellEnv::CellEnv(const Scenario& scenario, HybridMode mode, const FaultMatrixCon
 
   Rng rng(seed);
   net.emplace(topo, net_cfg, run_span + Duration::hours(1), rng.fork("net"));
-
-  // Sharded underlay (cfg.shards > 0): per-component RNG substreams plus
-  // the quantized advance service. The cell is byte-identical at any
-  // positive shard count (see FaultMatrixConfig::shards).
-  if (cfg.shards > 0) {
-    net->enable_sharded_underlay();
-    advance.emplace(*net, pdes::ShardPlan::build(*net, cfg.shards));
-    net->set_advance_hook(&*advance);
-  }
 
   OverlayConfig ocfg;
   ocfg.router.forward_delay = net_cfg.forward_delay;

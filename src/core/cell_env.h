@@ -10,9 +10,7 @@
 // pinned run_fault_cell against SimWorld now pin a single code path.
 //
 // Member order doubles as teardown order (reverse declaration):
-// sender -> overlay -> advance -> net -> sched -> injector -> topo, so
-// the AdvanceService's worker threads stop before the Network they feed
-// is destroyed.
+// sender -> overlay -> net -> sched -> injector -> topo.
 
 #ifndef RONPATH_CORE_CELL_ENV_H_
 #define RONPATH_CORE_CELL_ENV_H_
@@ -26,15 +24,13 @@
 #include "fault/scenarios.h"
 #include "net/network.h"
 #include "overlay/overlay.h"
-#include "pdes/advance.h"
 #include "routing/hybrid.h"
 
 namespace ronpath {
 
 struct CellEnv {
   // Builds the world in run_fault_cell's historical order. Throws
-  // std::runtime_error when the scenario DSL does not parse and
-  // std::invalid_argument on incompatible config (lazy + sharded).
+  // std::runtime_error when the scenario DSL does not parse.
   // `mode` picks the HybridSender policy; the sender is constructed
   // (and its RNG stream forked) in every mode so schemes that never
   // touch it still see identical randomness everywhere else.
@@ -45,8 +41,6 @@ struct CellEnv {
   std::optional<FaultInjector> injector;
   Scheduler sched;
   std::optional<Network> net;
-  // Declared after net: its worker threads must stop first on teardown.
-  std::optional<pdes::AdvanceService> advance;
   std::optional<OverlayNetwork> overlay;
   std::optional<HybridSender> sender;
 };

@@ -1,8 +1,6 @@
 #include "core/experiment.h"
 
 #include <fstream>
-#include <optional>
-
 #include <stdexcept>
 
 #include "core/driver.h"
@@ -12,7 +10,6 @@
 #include "fault/injector.h"
 #include "net/config.h"
 #include "overlay/overlay.h"
-#include "pdes/advance.h"
 #include "routing/schemes.h"
 
 namespace ronpath {
@@ -29,9 +26,6 @@ std::string_view to_string(Dataset d) {
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.path_depth < 1 || cfg.path_depth > 2) {
     throw std::invalid_argument("path_depth must be 1 or 2 (forwarding carries <= 2 relays)");
-  }
-  if (cfg.lazy_underlay && cfg.shards > 0) {
-    throw std::invalid_argument("lazy_underlay is incompatible with sharded execution");
   }
   const bool is_2003 = cfg.dataset == Dataset::kRon2003;
   Topology topo = [&] {
@@ -63,12 +57,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   Scheduler sched;
   const Duration horizon = cfg.warmup + cfg.duration + Duration::hours(1);
   Network net(topo, net_cfg, horizon, rng.fork("net"));
-  std::optional<pdes::AdvanceService> advance;
-  if (cfg.shards > 0) {
-    net.enable_sharded_underlay();
-    advance.emplace(net, pdes::ShardPlan::build(net, cfg.shards));
-    net.set_advance_hook(&*advance);
-  }
 
   OverlayConfig overlay_cfg;
   overlay_cfg.router.forward_delay = net_cfg.forward_delay;

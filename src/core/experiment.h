@@ -67,11 +67,6 @@ struct ExperimentConfig {
   // route() pick two-relay chains. Values outside [1, 2] are rejected
   // (the forwarding plane carries at most two relays).
   int path_depth = 1;
-  // > 0: sharded underlay discipline (per-component RNG substreams +
-  // quantized advance service; DESIGN.md §13). Output is byte-identical
-  // at any positive value; 0 (default) keeps the legacy single-stream
-  // discipline and the historical golden tables.
-  int shards = 0;
 
   // --- scaling (DESIGN.md §14) ---
   // > 0: replace the testbed topology with a synthetic hierarchical
@@ -83,7 +78,7 @@ struct ExperimentConfig {
   std::size_t overlay_fanout = 0;
   std::size_t overlay_landmarks = 8;
   // Materialize underlay core components on first traversal (required
-  // headroom at 1000+ nodes; incompatible with shards > 0).
+  // headroom at 1000+ nodes).
   bool lazy_underlay = false;
 };
 

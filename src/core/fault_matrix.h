@@ -59,13 +59,6 @@ struct FaultMatrixConfig {
   // Enables the router's staleness + hold-down knobs (see DESIGN.md,
   // "Fault model"). Off reproduces the trust-forever control plane.
   bool graceful_degradation = true;
-  // > 0: run the underlay in sharded mode (per-component RNG substreams
-  // + the quantized advance service with this many generation shards;
-  // DESIGN.md §13). Reports are byte-identical for ANY positive value —
-  // 1, 2, 4 and 8 shards all produce the same cell — but differ from the
-  // legacy (0) discipline, which stays the default so existing golden
-  // tables are untouched.
-  int shards = 0;
 
   // --- scaling (DESIGN.md §14) ---
   // > 0: run the cell on a synthetic hierarchical topology of this many
@@ -75,8 +68,7 @@ struct FaultMatrixConfig {
   // announcements + landmarks); 0 keeps the full mesh.
   std::size_t overlay_fanout = 0;
   std::size_t overlay_landmarks = 8;
-  // Materialize underlay cores on first traversal (scale runs only;
-  // incompatible with shards > 0).
+  // Materialize underlay cores on first traversal (scale runs only).
   bool lazy_underlay = false;
 };
 

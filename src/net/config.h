@@ -187,8 +187,7 @@ struct NetConfig {
   // memory at 1000+ nodes, while a capped overlay only ever touches the
   // O(n * fanout) pairs it probes or routes through. Identical draws and
   // timelines for every component that is touched (construction forks
-  // are keyed, not sequenced); incompatible with the sharded underlay,
-  // whose shard plans pre-partition the full component grid.
+  // are keyed, not sequenced).
   bool lazy_components = false;
 
   // Resolved parameters for a component of the given topology (applies

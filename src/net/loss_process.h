@@ -197,15 +197,6 @@ class ComponentProcess {
   // Introspection for tests: burst/episode/outage interval counts so far.
   [[nodiscard]] std::size_t generated_bursts() const { return generated_bursts_; }
 
-  // Pregeneration entry point for the PDES advance loops (pdes/advance.h):
-  // extends the timelines exactly as a sample(t) would — same horizon,
-  // same draws — but without the query-side effects (no max_query_
-  // advance, no pruning). Because the interval layout is a pure function
-  // of the horizon SEQUENCE, callers must walk a fixed grid of t values
-  // (see advance.h); re-requesting an already-generated horizon is a
-  // no-op.
-  void pregenerate(TimePoint t) { generate_until(t); }
-
   // Snapshot support: full mutable state (sub-process timelines, burst
   // Rng/cursors/ring, caches, watermarks). Like LazyIntervalProcess,
   // restore_state expects identical construction.

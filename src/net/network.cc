@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <stdexcept>
 
 #include "snapshot/codec.h"
 
@@ -279,62 +278,6 @@ const std::vector<Network::LatencyAddition>& Network::additions_at(std::size_t c
   return latency_additions_[ci];
 }
 
-void Network::enable_sharded_underlay() {
-  if (lazy_) {
-    throw std::logic_error(
-        "enable_sharded_underlay: incompatible with lazy_components (shard plans "
-        "pre-partition the full component grid)");
-  }
-  if (!pkt_rngs_.empty()) return;
-  assert(stats_.transmitted == 0 && "enable_sharded_underlay must precede all traffic");
-  pkt_rngs_.reserve(components_.size());
-  Rng root = pkt_rng_.fork("per-component");
-  for (std::size_t ci = 0; ci < components_.size(); ++ci) {
-    pkt_rngs_.push_back(root.fork(ci));
-  }
-}
-
-Duration Network::hop_floor(std::size_t component) const {
-  if (lazy_ && component >= site_comp_count_) {
-    // Derivable without materializing: quality scaling never touches
-    // fixed_delay, and stretch is recomputed from its keyed fork.
-    const ComponentId id = topo_.component(component);
-    return config_.params_for(topo_, component).fixed_delay +
-           Duration::from_seconds_f(topo_.propagation(id.a, id.b).to_seconds_f() *
-                                    core_stretch(id.a, id.b));
-  }
-  const HopMeta& m = hop_meta_[component];
-  return m.is_core ? m.fixed_delay + m.stretched_prop : m.fixed_delay;
-}
-
-Network::HopOutcome Network::traverse_hop(std::size_t component, TimePoint t) {
-  assert(!pkt_rngs_.empty() && "traverse_hop requires the sharded underlay");
-  assert(lazy_ == nullptr && "sharded underlay excludes lazy components");
-  const ComponentSample s = components_[component].sample(t);
-  Rng& rng = pkt_rngs_[component];
-  HopOutcome out;
-  if (rng.bernoulli(s.drop_prob)) {
-    out.dropped = true;
-    out.cause =
-        s.outage ? DropCause::kOutage : (s.burst ? DropCause::kBurst : DropCause::kRandom);
-    return out;
-  }
-  const HopMeta& m = hop_meta_[component];
-  Duration d = m.fixed_delay;
-  if (m.is_core) d += m.stretched_prop;
-  d += Duration::from_seconds_f(rng.lognormal(m.ln_jitter_median, m.jitter_sigma));
-  if (s.queue_delay_mean > Duration::zero()) {
-    d += rng.exponential_duration(s.queue_delay_mean);
-  }
-  if (m.has_additions) {
-    for (const auto& add : latency_additions_[component]) {
-      if (t >= add.start && t < add.end) d += add.added;
-    }
-  }
-  out.delay = d;
-  return out;
-}
-
 Duration Network::hop_delay(std::size_t component, const ComponentSample& s, TimePoint t) {
   const HopMeta& m = hop_meta_at(component);
   Duration d = m.fixed_delay;
@@ -361,13 +304,6 @@ TransmitResult Network::transmit(const PathSpec& path, TimePoint send_time, Traf
   assert(send_time + kQuerySafety >= max_send_ && "transmit query too far in the past");
   if (send_time + kQuerySafety < max_send_) send_time = max_send_ - kQuerySafety;
   if (send_time > max_send_) max_send_ = send_time;
-
-  // Sharded mode: keep pregeneration ahead of the watermark (the hook
-  // re-arms the threshold), then take the per-component-stream path.
-  if (advance_ && max_send_ >= advance_next_) {
-    advance_next_ = advance_->advance_to(max_send_);
-  }
-  if (!pkt_rngs_.empty()) return transmit_sharded(path, send_time, cls);
 
   ++stats_.transmitted;
   Topology::Hop hops[Topology::kMaxHops];
@@ -423,63 +359,6 @@ TransmitResult Network::transmit(const PathSpec& path, TimePoint send_time, Traf
   return r;
 }
 
-TransmitResult Network::transmit_sharded(const PathSpec& path, TimePoint send_time,
-                                         TrafficClass cls) {
-  // Identical walk to the legacy loop below, with every draw coming from
-  // the traversed component's own substream (traverse_hop) — the same
-  // queries and draws the PDES engine issues for this packet, so the
-  // sequenced and free-running paths share one discipline.
-  ++stats_.transmitted;
-  Topology::Hop hops[Topology::kMaxHops];
-  const std::size_t n_hops = topo_.hops_into(path, hops);
-
-  if (fault_ && cls == TrafficClass::kProbe &&
-      (fault_->probe_blackhole(path.src, send_time) ||
-       fault_->probe_blackhole(path.dst, send_time))) {
-    ++stats_.dropped_injected;
-    TransmitResult r;
-    r.delivered = false;
-    r.cause = DropCause::kInjected;
-    r.drop_component = n_hops == 0 ? 0 : hops[0].component;
-    return r;
-  }
-
-  TimePoint t = send_time;
-  for (std::size_t hi = 0; hi < n_hops; ++hi) {
-    const std::size_t ci = hops[hi].component;
-    if (fault_ && fault_->component_down(ci, t)) {
-      ++stats_.dropped_injected;
-      TransmitResult r;
-      r.delivered = false;
-      r.cause = DropCause::kInjected;
-      r.drop_component = ci;
-      return r;
-    }
-    const HopOutcome hop = traverse_hop(ci, t);
-    if (hop.dropped) {
-      TransmitResult r;
-      r.delivered = false;
-      r.cause = hop.cause;
-      r.drop_component = ci;
-      switch (r.cause) {
-        case DropCause::kRandom: ++stats_.dropped_random; break;
-        case DropCause::kBurst: ++stats_.dropped_burst; break;
-        case DropCause::kOutage: ++stats_.dropped_outage; break;
-        case DropCause::kNone:
-        case DropCause::kInjected: break;
-      }
-      return r;
-    }
-    t += hop.delay;
-    if (hops[hi].forward_after) t += config_.forward_delay;
-  }
-  ++stats_.delivered;
-  TransmitResult r;
-  r.delivered = true;
-  r.latency = t - send_time;
-  return r;
-}
-
 Duration Network::base_latency(const PathSpec& path) const {
   const auto hops = topo_.hops(path);
   Duration d = Duration::zero();
@@ -497,11 +376,6 @@ Duration Network::base_latency(const PathSpec& path) const {
 
 void Network::save_state(snap::Encoder& e) const {
   e.tag("NETW");
-  // RNG discipline marker: a snapshot taken under the sharded underlay
-  // carries per-component streams and cannot be read back into a legacy
-  // network (or vice versa). Deliberately a bool, not the shard count —
-  // the payload is identical at every shard count.
-  e.b(sharded_underlay());
   // Lazy-core marker plus the materialized-core set (sorted for
   // determinism). The set is itself a deterministic function of the
   // traffic, so an uninterrupted run and a restored run converge on the
@@ -521,7 +395,6 @@ void Network::save_state(snap::Encoder& e) const {
     }
   }
   snap::save_rng(e, pkt_rng_);
-  for (const Rng& r : pkt_rngs_) snap::save_rng(e, r);
   e.i64(stats_.transmitted);
   e.i64(stats_.delivered);
   e.i64(stats_.dropped_random);
@@ -533,13 +406,6 @@ void Network::save_state(snap::Encoder& e) const {
 
 void Network::restore_state(snap::Decoder& d) {
   d.expect_tag("NETW");
-  const bool sharded = d.b();
-  if (sharded != sharded_underlay()) {
-    throw snap::SnapshotError(
-        std::string("snapshot: RNG discipline mismatch (snapshot is ") +
-        (sharded ? "sharded" : "legacy") + ", network is " +
-        (sharded_underlay() ? "sharded" : "legacy") + ")");
-  }
   const bool lazy = d.b();
   if (lazy != (lazy_ != nullptr)) {
     throw snap::SnapshotError(std::string("snapshot: component materialization mismatch "
@@ -573,7 +439,6 @@ void Network::restore_state(snap::Decoder& d) {
     }
   }
   snap::restore_rng(d, pkt_rng_);
-  for (Rng& r : pkt_rngs_) snap::restore_rng(d, r);
   stats_.transmitted = d.i64();
   stats_.delivered = d.i64();
   stats_.dropped_random = d.i64();
@@ -581,9 +446,6 @@ void Network::restore_state(snap::Decoder& d) {
   stats_.dropped_outage = d.i64();
   stats_.dropped_injected = d.i64();
   max_send_ = d.time();
-  // Re-arm pregeneration from scratch: replaying already-generated grid
-  // points is a no-op, so the hook converges on the restored watermark.
-  advance_next_ = TimePoint::epoch();
 }
 
 void Network::check_invariants(std::vector<std::string>& out) const {

@@ -62,19 +62,6 @@ class FaultHook {
   [[nodiscard]] virtual bool probe_blackhole(NodeId node, TimePoint t) const = 0;
 };
 
-// Pregeneration hook for the sharded underlay (pdes/advance.h): when the
-// send watermark crosses the armed threshold, transmit() calls
-// advance_to(watermark) and re-arms at the returned threshold. The hook
-// must advance every component's timeline far enough that sample()
-// never generates on its own — the quantized grid walk that keeps the
-// per-component horizon sequence shard-count-invariant lives behind
-// this interface, not in the packet loop.
-class AdvanceHook {
- public:
-  virtual ~AdvanceHook() = default;
-  virtual TimePoint advance_to(TimePoint watermark) = 0;
-};
-
 struct TransmitResult {
   bool delivered = false;
   // One-way latency; valid only when delivered.
@@ -105,44 +92,6 @@ class Network {
   // Installs (or clears, with nullptr) the scripted fault injector. The
   // hook must outlive the network or be cleared before destruction.
   void set_fault_hook(const FaultHook* hook) { fault_ = hook; }
-  [[nodiscard]] const FaultHook* fault_hook() const { return fault_; }
-
-  // Sharded-underlay mode (PDES; see DESIGN.md §13): replaces the single
-  // shared packet RNG with one substream per component, forked
-  // deterministically from it. Per-hop draws then depend only on the
-  // order a COMPONENT is traversed — not on the global interleaving of
-  // packets — which is what makes shard-parallel execution (and the
-  // sequenced benches at any --shards value) byte-reproducible. The two
-  // disciplines consume different streams, so sharded outputs are a
-  // different (equally valid) realization than legacy ones; the
-  // determinism contract is across shard counts, not across modes.
-  // Must be called before any transmit; idempotent.
-  void enable_sharded_underlay();
-  [[nodiscard]] bool sharded_underlay() const { return !pkt_rngs_.empty(); }
-
-  // Pregeneration trigger for the sharded mode; the hook must outlive
-  // the network or be cleared before destruction.
-  void set_advance_hook(AdvanceHook* hook) {
-    advance_ = hook;
-    advance_next_ = TimePoint::epoch();
-  }
-
-  // One component traversal under the sharded discipline: sample the
-  // component at t, draw the drop coin and (when delivered) the delay
-  // from the component's own substream. Thread-safe across components —
-  // the PDES engine calls this from shard workers for the components
-  // they own; no shared mutable state is touched.
-  struct HopOutcome {
-    bool dropped = false;
-    DropCause cause = DropCause::kNone;
-    Duration delay = Duration::zero();
-  };
-  [[nodiscard]] HopOutcome traverse_hop(std::size_t component, TimePoint t);
-
-  // Deterministic lower bound on a single hop's delay (fixed delay plus
-  // stretched propagation for core segments; jitter and queueing only
-  // add). The PDES lookahead bound derives from these floors.
-  [[nodiscard]] Duration hop_floor(std::size_t component) const;
 
   // Deterministic latency floor of a path (propagation + fixed delays +
   // forwarding, no jitter/queueing/incidents). Used by tests and by
@@ -239,7 +188,6 @@ class Network {
 
   [[nodiscard]] Duration hop_delay(std::size_t component, const ComponentSample& s,
                                    TimePoint t);
-  TransmitResult transmit_sharded(const PathSpec& path, TimePoint send_time, TrafficClass cls);
 
   Topology topo_;
   NetConfig config_;
@@ -253,13 +201,8 @@ class Network {
   std::unordered_map<std::size_t, CoreState> cores_;  // lazy mode only
   std::size_t site_comp_count_ = 0;  // kSiteCompCount * n
   Rng pkt_rng_;
-  // Sharded mode: one packet-draw substream per component, forked from
-  // pkt_rng_ at enable time. Empty = legacy single-stream discipline.
-  std::vector<Rng> pkt_rngs_;
   Stats stats_;
   const FaultHook* fault_ = nullptr;
-  AdvanceHook* advance_ = nullptr;
-  TimePoint advance_next_;  // re-arm threshold for advance_
   TimePoint max_send_;  // furthest send_time seen (monotonicity watermark)
 };
 

@@ -81,7 +81,7 @@ Topology scale_topology(const ScaleTopologyParams& params) {
 
     Site s;
     const std::size_t pi = (i / n_metros) % providers;
-    char name[32];
+    char name[66];  // fits three 20-digit size_t fields: never truncates
     std::snprintf(name, sizeof name, "m%02zu-p%zu-s%04zu", mi, pi, i);
     s.name = name;
     s.location = metro.name;

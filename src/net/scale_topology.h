@@ -12,8 +12,8 @@
 //
 // Determinism: the generated site list is a pure function of
 // ScaleTopologyParams (per-site forks, no draw-order coupling between
-// sites), so the same params give byte-identical topologies across runs,
-// shard counts and restores. Names are synthetic ("m03-p1-s0007") and
+// sites), so the same params give byte-identical topologies across runs
+// and restores. Names are synthetic ("m03-p1-s0007") and
 // never collide with testbed names — in particular never "Korea", which
 // NetConfig matches by exact name.
 

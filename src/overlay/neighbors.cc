@@ -31,7 +31,7 @@ NeighborSet NeighborSet::build(const Topology& topo, std::size_t fanout,
 
   // k-nearest by (propagation, id). Propagation is the only distance
   // known before probing starts, and it is a pure function of the
-  // topology, so the graph is identical across runs and shard counts.
+  // topology, so the graph is identical across runs.
   std::vector<std::pair<std::int64_t, NodeId>> dist;
   dist.reserve(n - 1);
   for (std::size_t s = 0; s < n; ++s) {

@@ -33,9 +33,8 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 std::vector<std::uint8_t> seal(std::uint64_t fingerprint,
                                const std::vector<std::uint8_t>& payload) {
-  std::vector<std::uint8_t> out;
+  std::vector<std::uint8_t> out(kMagic, kMagic + sizeof kMagic);
   out.reserve(kSnapshotHeaderBytes + payload.size() + 8);
-  out.insert(out.end(), kMagic, kMagic + sizeof kMagic);
   put_u32(out, kSnapshotVersion);
   put_u64(out, fingerprint);
   put_u64(out, payload.size());

@@ -5,9 +5,8 @@
 //
 //   offset  size  field
 //        0     8  magic "RONPSNAP"
-//        8     4  format version (currently 4: WKLD workload sections —
-//                 traffic cursor, FEC block state, access buckets, loss
-//                 EWMAs, per-pair controllers, per-class sketches)
+//        8     4  format version (currently 5; DESIGN.md §12 lists
+//                 what each version changed)
 //       12     8  context fingerprint (FNV-1a over scenario/scheme/
 //                 config/seed; see SimWorld::fingerprint)
 //       20     8  payload length in bytes
@@ -35,7 +34,7 @@
 
 namespace ronpath::snap {
 
-inline constexpr std::uint32_t kSnapshotVersion = 4;
+inline constexpr std::uint32_t kSnapshotVersion = 5;
 inline constexpr std::size_t kSnapshotHeaderBytes = 28;
 inline constexpr std::size_t kSnapshotMinBytes = kSnapshotHeaderBytes + 8;
 

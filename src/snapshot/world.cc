@@ -106,10 +106,6 @@ std::uint64_t SimWorld::fingerprint() const {
   h = fnv1a_u64(cfg_.graceful_degradation ? 1 : 0, h);
   h = fnv1a_u64(static_cast<std::uint64_t>(fault_start_.since_epoch().count_nanos()), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(fault_duration_.count_nanos()), h);
-  // RNG discipline only (bool), NOT the shard count: sharded output is
-  // shard-count-invariant, so a --shards 4 snapshot must restore into a
-  // --shards 1 world.
-  h = fnv1a_u64(cfg_.shards > 0 ? 1 : 0, h);
   // Scaling knobs (DESIGN.md §14). lazy_underlay is deliberately NOT
   // hashed: materialization order never changes the simulation, so a
   // lazy snapshot may not restore into an eager world — but that is a

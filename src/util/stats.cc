@@ -244,8 +244,16 @@ void P2Quantile::add(double x) {
 double P2Quantile::value() const {
   if (count_ == 0) return 0.0;
   if (count_ < 5) {
+    // Insertion sort of the retained samples. std::sort over this short
+    // prefix trips a GCC -Warray-bounds false positive.
     std::array<double, 5> tmp = initial_;
-    std::sort(tmp.begin(), tmp.begin() + count_);
+    const auto n = static_cast<std::size_t>(count_);
+    for (std::size_t i = 1; i < n; ++i) {
+      const double v = tmp[i];
+      std::size_t j = i;
+      for (; j > 0 && tmp[j - 1] > v; --j) tmp[j] = tmp[j - 1];
+      tmp[j] = v;
+    }
     const auto idx = static_cast<std::size_t>(
         std::min<double>(static_cast<double>(count_ - 1),
                          q_ * static_cast<double>(count_)));

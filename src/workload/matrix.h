@@ -4,8 +4,7 @@
 // One cell = one (scenario, policy) WorkloadWorld run to completion.
 // Cells are pure functions of (scenario, policy, config, seed) and are
 // stored by index, so the matrix — and its formatted report — is
-// byte-identical at any --jobs value, and (for shards > 0) at any
-// shard count.
+// byte-identical at any --jobs value.
 
 #ifndef RONPATH_WORKLOAD_MATRIX_H_
 #define RONPATH_WORKLOAD_MATRIX_H_

@@ -11,7 +11,7 @@
 // Determinism and stability: every pair owns its own RNG stream,
 // fork(pair_key) off a single workload root, so the generated flow set
 // is a pure function of (spec, node count, window, root stream) —
-// independent of pair iteration order, shard count, and thread count.
+// independent of pair iteration order and thread count.
 // The byte-stability tests pin exactly this. The final flow list is
 // sorted by (start, src, dst, per-pair sequence), a total order with no
 // ties across pairs.

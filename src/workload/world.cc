@@ -293,8 +293,6 @@ std::uint64_t WorkloadWorld::fingerprint() const {
   h = fnv1a_u64(static_cast<std::uint64_t>(c.warmup.count_nanos()), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(c.measured.count_nanos()), h);
   h = fnv1a_u64(c.graceful_degradation ? 1 : 0, h);
-  // RNG discipline only, not the shard count (shard-count-invariant).
-  h = fnv1a_u64(c.shards > 0 ? 1 : 0, h);
   h = fnv1a_u64(c.synth_nodes, h);
   h = fnv1a_u64(c.overlay_fanout, h);
   h = fnv1a_u64(c.overlay_landmarks, h);

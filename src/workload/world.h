@@ -5,8 +5,8 @@
 // The underlay/overlay/fault machinery is the shared core/cell_env.h
 // sequence; on top of it the world replays a pregenerated TrafficMatrix
 // packet schedule (its own "workload" RNG fork, so the flow set is
-// identical across policies and shard counts) and scores every packet
-// into per-class ClassMetrics. Three redundancy policies are compared:
+// identical across policies) and scores every packet into per-class
+// ClassMetrics. Three redundancy policies are compared:
 //
 //   kProbeOnly  every packet rides the loss-optimized best path (the
 //               paper's pure reactive scheme);
@@ -31,7 +31,7 @@
 // the latency of the last delivered shard in the block.
 //
 // Determinism: a finished world is a pure function of (scenario,
-// policy, config, seed) — byte-identical report at any --jobs/--shards,
+// policy, config, seed) — byte-identical report at any --jobs,
 // and snapshot kill/restore reproduces it exactly (same re-arm
 // discipline as SimWorld; clock first, then owners).
 
@@ -57,7 +57,7 @@ enum class WorkloadPolicy : std::uint8_t { kProbeOnly = 0, kStatic2 = 1, kAdapti
 
 struct WorkloadConfig {
   // Underlay / overlay / fault knobs (node_count, warmup, measured,
-  // shards, scale tier). send_interval and stable_streak are unused by
+  // scale tier). send_interval and stable_streak are unused by
   // the workload layer.
   FaultMatrixConfig cell;
   WorkloadSpec spec;

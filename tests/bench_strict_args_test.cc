@@ -99,6 +99,15 @@ TEST(BenchStrictArgs, UnknownFlagExitsTwo) {
   for (const char* name : kRegressBenches) {
     expect_rejects(name, "--definitely-not-a-flag");
   }
+  // Retired flags, and shared BenchArgs flags the bench never reads.
+  for (const char* name : {"bench_hotpath", "bench_workload", "bench_table5_loss"}) {
+    expect_rejects(name, "--shards 4");
+  }
+  expect_rejects("bench_hotpath", "--shard-sweep");
+  expect_rejects("bench_fig6_design_space", "--fault-scenario link-flap");
+  expect_rejects("bench_fig6_design_space", "--trials 3 --jobs 2");
+  expect_rejects("bench_table3_datasets", "--csv /dev/null");
+  expect_rejects("bench_fault_matrix", "--hours 3");
 }
 
 }  // namespace

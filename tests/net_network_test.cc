@@ -103,7 +103,9 @@ TEST(Network, DeterministicAcrossInstances) {
     const auto r1 = n1.transmit(PathSpec{a, b, kDirectVia}, t);
     const auto r2 = n2.transmit(PathSpec{a, b, kDirectVia}, t);
     EXPECT_EQ(r1.delivered, r2.delivered);
-    if (r1.delivered) EXPECT_EQ(r1.latency, r2.latency);
+    if (r1.delivered) {
+      EXPECT_EQ(r1.latency, r2.latency);
+    }
   }
 }
 

@@ -45,16 +45,6 @@ TEST(CappedOverlay, RotationScheduleDeterministicAcrossRuns) {
   EXPECT_EQ(run_report(cfg), run_report(cfg));
 }
 
-TEST(CappedOverlay, RotationScheduleDeterministicAcrossShards) {
-  // The sharded underlay discipline must not perturb the capped control
-  // plane: any positive shard count produces the same bytes.
-  FaultMatrixConfig cfg = capped_cfg(60, 8);
-  cfg.shards = 1;
-  const std::string one = run_report(cfg);
-  cfg.shards = 4;
-  EXPECT_EQ(one, run_report(cfg));
-}
-
 // --------------------------------------------------- full-fanout equivalence
 
 TEST(CappedOverlay, FullFanoutBitwiseEquivalentToLegacyMesh) {

@@ -147,6 +147,9 @@ TEST_P(RngMoments, SampleMeansMatch) {
   // 5-sigma-ish tolerance on the sample mean.
   const double tol = 5.0 * std::sqrt(expected_var / n);
   EXPECT_NEAR(mean, expected_mean, tol) << "case " << which;
+  // 5 % on the sample variance: eight or more standard errors in every
+  // case at this n, yet tight enough to catch a wrong distribution.
+  EXPECT_NEAR(var, expected_var, 0.05 * expected_var) << "case " << which;
 }
 
 INSTANTIATE_TEST_SUITE_P(Distributions, RngMoments, ::testing::Range(0, 5));

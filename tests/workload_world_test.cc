@@ -2,8 +2,7 @@
 //
 // 1. Determinism: a finished world is a pure function of (scenario,
 //    policy, config, seed) — byte-identical reports across repeated
-//    runs, across every positive shard count, and a matrix report
-//    independent of --jobs.
+//    runs, and a matrix report independent of --jobs.
 // 2. Policy accounting: probe-only never sends a second copy, static-2x
 //    always does, adaptive sits between.
 // 3. Closed-loop sanity: the link-flap scenario cannot make the
@@ -49,22 +48,6 @@ TEST(WorkloadWorld, ReportByteIdenticalAcrossRuns) {
   std::vector<std::string> violations;
   a.check_invariants(violations);
   EXPECT_TRUE(violations.empty()) << violations.front();
-}
-
-TEST(WorkloadWorld, ReportByteIdenticalAcrossShardCounts) {
-  const Scenario& scenario = scenario_named("link-flap");
-  std::string reference;
-  for (const int shards : {1, 2, 4}) {
-    WorkloadConfig cfg;
-    cfg.cell.shards = shards;
-    WorkloadWorld world(scenario, WorkloadPolicy::kAdaptive, cfg, 42);
-    world.run_to_end();
-    if (reference.empty()) {
-      reference = world.report();
-    } else {
-      EXPECT_EQ(world.report(), reference) << "shards=" << shards;
-    }
-  }
 }
 
 TEST(WorkloadWorld, MatrixReportIndependentOfJobs) {

@@ -63,7 +63,6 @@ struct SoakOptions {
   Duration send_interval = Duration::seconds(10);
   std::size_t checkpoint_every = 1000;  // sends between checkpoints
   std::size_t kill_every = 3;           // kill/restore at every k-th checkpoint (0 = never)
-  int shards = 0;                       // > 0: sharded underlay discipline
   std::size_t synth_nodes = 0;          // > 0: synthetic hierarchical topology
   std::size_t fanout = 0;               // > 0: bandwidth-capped overlay
   std::size_t landmarks = 8;
@@ -80,7 +79,7 @@ struct SoakOptions {
       code == 0 ? stdout : stderr,
       "usage: soak [--scenario NAME|day-stream|FILE] [--scheme direct|reactive|mesh|hybrid]\n"
       "            [--seed N] [--nodes N] [--hours H] [--send-interval-ms M]\n"
-      "            [--checkpoint-every SENDS] [--kill-every K] [--shards K] [--no-audit]\n"
+      "            [--checkpoint-every SENDS] [--kill-every K] [--no-audit]\n"
       "            [--synth-nodes N] [--fanout K] [--landmarks L] [--lazy]\n"
       "            [--snapshot-dir DIR] [--verify] [--quick]\n"
       "            [--workload] [--policy probe-only|static-2x|adaptive]\n");
@@ -145,8 +144,6 @@ SoakOptions parse_args(int argc, char** argv) {
           static_cast<std::size_t>(parse_int("--checkpoint-every", next(), 1, 1'000'000'000));
     } else if (arg == "--kill-every") {
       opt.kill_every = static_cast<std::size_t>(parse_int("--kill-every", next(), 0, 1'000'000));
-    } else if (arg == "--shards") {
-      opt.shards = static_cast<int>(parse_int("--shards", next(), 1, 256));
     } else if (arg == "--synth-nodes") {
       opt.synth_nodes = static_cast<std::size_t>(parse_int("--synth-nodes", next(), 4, 65'000));
     } else if (arg == "--fanout") {
@@ -249,7 +246,6 @@ void workload_audit_or_die(const WorkloadWorld& world, const SoakOptions& opt,
 int run_workload_soak(const SoakOptions& opt, const Scenario& scenario) {
   WorkloadConfig cfg;
   cfg.cell.seed = opt.seed;
-  cfg.cell.shards = opt.shards;
   if (opt.measured < cfg.cell.measured) cfg.spec.population /= 4.0;  // --quick
 
   std::string expected;
@@ -333,7 +329,6 @@ int main(int argc, char** argv) {
   cfg.seed = opt.seed;
   cfg.measured = opt.measured;
   cfg.send_interval = opt.send_interval;
-  cfg.shards = opt.shards;
   cfg.synth_nodes = opt.synth_nodes;
   cfg.overlay_fanout = opt.fanout;
   cfg.overlay_landmarks = opt.landmarks;
