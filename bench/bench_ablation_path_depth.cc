@@ -1,13 +1,10 @@
 // Ablation: path-engine cost versus search depth k.
 //
-// Sweeps the round-based engine over overlay sizes and relay depths and
-// reports (a) per-query latency of the lazy mode, (b) full relax_all
-// cost, (c) incremental apply_update cost relative to a from-scratch
-// recompute. The interesting scaling story is in the work counters:
-// round r relaxes only from nodes whose label moved in round r-1
-// (marked-node pruning), so edges_relaxed grows with the active
-// frontier rather than k * N^2, and a single republished entry
-// re-relaxes a bounded neighborhood.
+// Sweeps the engine over overlay sizes and relay depths and reports the
+// per-query latency and work counters. The interesting scaling story is
+// in the counters: round r relaxes only from nodes whose label moved in
+// round r-1 (marked-node pruning), so edges_relaxed grows with the
+// active frontier rather than k * N^2.
 
 #include <chrono>
 #include <cstdio>
@@ -88,11 +85,9 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sizes = {30, 100, 300};
   if (quick) sizes = {30, 100};
   const int queries = quick ? 2'000 : 20'000;
-  const int updates = quick ? 200 : 2'000;
 
   std::printf("== Ablation: path-engine cost vs search depth ==\n");
-  TextTable out({"nodes", "mesh", "k", "query us", "edges/query", "relax_all edges", "skip %",
-                 "incr edges/update", "incr/full %"});
+  TextTable out({"nodes", "mesh", "k", "query us", "edges/query", "skip %"});
   out.set_align(0, TextTable::Align::kLeft);
   out.set_align(1, TextTable::Align::kLeft);
 
@@ -106,8 +101,6 @@ int main(int argc, char** argv) {
       PathEngine engine(table, cfg);
       Rng pick = rng.fork("pick");
 
-      // (a) lazy per-query cost.
-      engine.reset_stats();
       double acc = 0.0;  // defeat dead-code elimination
       const double q0 = now_seconds();
       for (int q = 0; q < queries; ++q) {
@@ -120,60 +113,27 @@ int main(int argc, char** argv) {
       const double us_per_query = (q1 - q0) * 1e6 / queries;
       const double edges_per_query =
           static_cast<double>(engine.stats().edges_relaxed) / queries;
-
-      // (b) full shared relax. sources_skipped counts stagnation-pruned
-      // relax sources: the fraction of (round, node) sources whose label
-      // stopped moving and were never scanned again.
-      engine.reset_stats();
-      engine.relax_all(0, k, TimePoint::epoch());
-      const auto full_edges = engine.stats().edges_relaxed;
-      const auto skipped = engine.stats().sources_skipped;
-      // Stagnation applies from round 2 on; both objectives relax, so
-      // the candidate source population is 2 * (k - 1) * n.
-      const auto stagnation_sources = 2 * static_cast<std::uint64_t>(k > 1 ? k - 1 : 0) * n;
+      // sources_skipped counts stagnation-pruned relax sources. The check
+      // applies from round 2 on, where each query's round scans all n
+      // candidate sources, so the population is (k - 1) * n per query.
+      const auto stagnation_sources =
+          static_cast<std::uint64_t>(k - 1) * n * static_cast<std::uint64_t>(queries);
       const double skip_pct =
-          stagnation_sources == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(skipped) / static_cast<double>(stagnation_sources);
-
-      // (c) incremental single-entry updates against the shared tables,
-      // timed against a from-scratch relax_all per update.
-      LinkStateTable mut = make_table(n, density, rng);
-      PathEngine inc(mut, cfg);
-      PathEngine scratch(mut, cfg);
-      inc.relax_all(0, k, TimePoint::epoch());
-      Rng upd = rng.fork("upd");
-      inc.reset_stats();
-      const double i0 = now_seconds();
-      for (int u = 0; u < updates; ++u) {
-        const auto from = static_cast<NodeId>(upd.next_below(n));
-        auto to = static_cast<NodeId>(upd.next_below(n));
-        if (to == from) to = static_cast<NodeId>((to + 1) % n);
-        mut.publish(from, to, random_metrics(upd));
-        inc.apply_update(from, to);
-      }
-      const double i1 = now_seconds();
-      const double f0 = now_seconds();
-      for (int u = 0; u < (quick ? 20 : 100); ++u) scratch.relax_all(0, k, TimePoint::epoch());
-      const double f1 = now_seconds();
-      const double incr_us = (i1 - i0) * 1e6 / updates;
-      const double full_us = (f1 - f0) * 1e6 / (quick ? 20 : 100);
-      const double incr_edges =
-          static_cast<double>(inc.stats().edges_relaxed) / updates;
+          stagnation_sources == 0 ? 0.0
+                                  : 100.0 * static_cast<double>(engine.stats().sources_skipped) /
+                                        static_cast<double>(stagnation_sources);
 
       out.add_row({std::to_string(n), density < 1.0 ? "sparse" : "dense", std::to_string(k),
                    TextTable::num(us_per_query, 2), TextTable::num(edges_per_query, 1),
-                   std::to_string(full_edges), TextTable::num(skip_pct, 1),
-                   TextTable::num(incr_edges, 1), TextTable::num(100.0 * incr_us / full_us, 1)});
+                   TextTable::num(skip_pct, 1)});
       (void)acc;
     }
     }
   }
   out.print(std::cout);
   std::printf(
-      "\nquery us: lazy best_loss() per query; edges/query tracks the\n"
-      "candidate extensions actually evaluated. skip %%: stagnation-pruned\n"
-      "relax sources in relax_all. incr/full %%: apply_update time as a\n"
-      "fraction of a from-scratch relax_all.\n");
+      "\nquery us: best_loss() per query; edges/query tracks the candidate\n"
+      "extensions actually evaluated. skip %%: stagnation-pruned relax\n"
+      "sources of the queries' rounds 2..k.\n");
   return 0;
 }

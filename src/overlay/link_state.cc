@@ -1,60 +1,43 @@
 #include "overlay/link_state.h"
 
-#include <cassert>
+#include <utility>
 
 #include "snapshot/codec.h"
 
 namespace ronpath {
 namespace {
 
-// Returned for reads of pairs outside the sparse neighbor graph: a
-// never-published entry, exactly what the dense table holds for a pair
-// no probe has reported yet.
+// Returned for reads of pairs outside the neighbor graph: an entry no
+// probe has reported yet.
 const LinkMetrics kPristine{};
 
 }  // namespace
 
 LinkStateTable::LinkStateTable(std::size_t n_nodes)
-    : n_(n_nodes),
-      entries_(n_ * n_),
-      est_cnt_(n_, 0),
-      up_cnt_(n_, 0) {}
+    : LinkStateTable(NeighborSet::full_mesh(n_nodes)) {}
 
-LinkStateTable::LinkStateTable(std::size_t n_nodes, const NeighborSet* neighbors)
-    : n_(n_nodes),
-      nbrs_(neighbors != nullptr && !neighbors->full() ? neighbors : nullptr),
-      entries_(nbrs_ != nullptr ? nbrs_->edge_count() : n_ * n_),
-      est_cnt_(n_, 0),
-      up_cnt_(n_, 0) {
-  assert(neighbors == nullptr || neighbors->size() == n_);
-}
-
-std::size_t LinkStateTable::index(NodeId from, NodeId to) const {
-  assert(from < n_ && to < n_);
-  if (nbrs_ != nullptr) return nbrs_->edge_index(from, to);
-  return static_cast<std::size_t>(from) * n_ + to;
-}
+LinkStateTable::LinkStateTable(NeighborSet neighbors)
+    : nbrs_(std::move(neighbors)),
+      entries_(nbrs_.edge_count()),
+      est_cnt_(nbrs_.size(), 0),
+      up_cnt_(nbrs_.size(), 0) {}
 
 void LinkStateTable::publish(NodeId from, NodeId to, const LinkMetrics& metrics) {
-  assert(nbrs_ == nullptr || nbrs_->adjacent(from, to));
-  LinkMetrics& slot = entries_[index(from, to)];
-  if (from != to) {
-    // Diff the incident counters for both endpoints (diagonal entries
-    // are ignored by node_seems_up, so they never touch the counters).
-    const bool old_est = slot.samples > 0;
-    const bool old_up = old_est && !slot.down;
-    const bool new_est = metrics.samples > 0;
-    const bool new_up = new_est && !metrics.down;
-    if (old_est != new_est) {
-      const std::uint32_t delta = new_est ? 1u : static_cast<std::uint32_t>(-1);
-      est_cnt_[from] += delta;
-      est_cnt_[to] += delta;
-    }
-    if (old_up != new_up) {
-      const std::uint32_t delta = new_up ? 1u : static_cast<std::uint32_t>(-1);
-      up_cnt_[from] += delta;
-      up_cnt_[to] += delta;
-    }
+  LinkMetrics& slot = entries_[nbrs_.edge_index(from, to)];
+  // Diff the incident counters for both endpoints.
+  const bool old_est = slot.samples > 0;
+  const bool old_up = old_est && !slot.down;
+  const bool new_est = metrics.samples > 0;
+  const bool new_up = new_est && !metrics.down;
+  if (old_est != new_est) {
+    const std::uint32_t delta = new_est ? 1u : static_cast<std::uint32_t>(-1);
+    est_cnt_[from] += delta;
+    est_cnt_[to] += delta;
+  }
+  if (old_up != new_up) {
+    const std::uint32_t delta = new_up ? 1u : static_cast<std::uint32_t>(-1);
+    up_cnt_[from] += delta;
+    up_cnt_[to] += delta;
   }
   slot = metrics;
 }
@@ -62,30 +45,23 @@ void LinkStateTable::publish(NodeId from, NodeId to, const LinkMetrics& metrics)
 const LinkMetrics& LinkStateTable::pristine() { return kPristine; }
 
 const LinkMetrics& LinkStateTable::get(NodeId from, NodeId to) const {
-  if (nbrs_ != nullptr && !nbrs_->adjacent(from, to)) return kPristine;
-  return entries_[index(from, to)];
+  if (!nbrs_.adjacent(from, to)) return kPristine;
+  return entries_[nbrs_.edge_index(from, to)];
 }
 
 void LinkStateTable::for_each_entry(
     const std::function<void(NodeId, NodeId, const LinkMetrics&)>& fn) const {
-  if (nbrs_ == nullptr) {
-    std::size_t i = 0;
-    for (NodeId from = 0; from < n_; ++from) {
-      for (NodeId to = 0; to < n_; ++to, ++i) fn(from, to, entries_[i]);
-    }
-    return;
-  }
   std::size_t i = 0;
-  for (NodeId from = 0; from < n_; ++from) {
-    for (const NodeId to : nbrs_->neighbors(from)) fn(from, to, entries_[i++]);
+  for (NodeId from = 0; from < size(); ++from) {
+    for (const NodeId to : nbrs_.neighbors(from)) fn(from, to, entries_[i++]);
   }
 }
 
 void LinkStateTable::recount() {
-  est_cnt_.assign(n_, 0);
-  up_cnt_.assign(n_, 0);
+  est_cnt_.assign(size(), 0);
+  up_cnt_.assign(size(), 0);
   for_each_entry([&](NodeId from, NodeId to, const LinkMetrics& m) {
-    if (m.samples == 0 || from == to) return;
+    if (m.samples == 0) return;
     ++est_cnt_[from];
     ++est_cnt_[to];
     if (!m.down) {
@@ -133,8 +109,8 @@ void LinkStateTable::restore_state(snap::Decoder& d) {
 }
 
 void LinkStateTable::check_invariants(TimePoint now, std::vector<std::string>& out) const {
-  std::vector<std::uint32_t> est(n_, 0);
-  std::vector<std::uint32_t> up(n_, 0);
+  std::vector<std::uint32_t> est(size(), 0);
+  std::vector<std::uint32_t> up(size(), 0);
   for_each_entry([&](NodeId from, NodeId to, const LinkMetrics& m) {
     const std::string who =
         "link-state entry " + std::to_string(from) + "->" + std::to_string(to);
@@ -151,7 +127,7 @@ void LinkStateTable::check_invariants(TimePoint now, std::vector<std::string>& o
       out.push_back(who + ": published without a single probe sample");
     }
     if (m.stride == 0) out.push_back(who + ": zero rotation stride");
-    if (m.samples > 0 && from != to) {
+    if (m.samples > 0) {
       ++est[from];
       ++est[to];
       if (!m.down) {

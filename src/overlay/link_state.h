@@ -8,18 +8,17 @@
 // staleness bound, and the router's O(N^2) probing overhead is accounted
 // analytically in the model library (see model/overhead.h).
 //
-// Two storage modes share one interface:
-//  * dense  — the legacy n*n matrix (ctor taking only n, or a full-mesh
-//    NeighborSet). Bit-identical to the pre-scaling table.
-//  * sparse — CSR rows over a capped NeighborSet: one entry per directed
-//    overlay edge, O(n * fanout) resident state. Reads of non-adjacent
-//    pairs return a pristine (never-published) entry; writes to them
-//    are a programming error.
+// Storage is one CSR layout over the table's NeighborSet: one entry per
+// directed overlay edge, in edge-rank order, so a capped graph holds
+// O(n * fanout) entries and the full mesh (the paper's overlay, and
+// what LinkStateTable(n) builds) holds n * (n - 1). Reads of pairs
+// outside the graph, including (v, v), return a pristine
+// (never-published) entry; writes to them are a programming error.
 //
-// node_seems_up is O(1) in both modes via per-node incident counters
-// maintained on publish — the path engine calls it for every node on
-// every query, which at 3000 nodes would otherwise be an O(n) scan
-// inside an O(n) loop.
+// node_seems_up is O(1) via per-node incident counters maintained on
+// publish — the path engine calls it for every node on every query,
+// which at 3000 nodes would otherwise be an O(n) scan inside an O(n)
+// loop.
 
 #ifndef RONPATH_OVERLAY_LINK_STATE_H_
 #define RONPATH_OVERLAY_LINK_STATE_H_
@@ -57,21 +56,20 @@ struct LinkMetrics {
 
 class LinkStateTable {
  public:
+  // The full mesh on n nodes: NeighborSet::full_mesh(n).
   explicit LinkStateTable(std::size_t n_nodes);
-  // Sparse mode when `neighbors` is non-null and not a full mesh; the
-  // NeighborSet must outlive the table. A null or full-mesh set gives
-  // the legacy dense matrix.
-  LinkStateTable(std::size_t n_nodes, const NeighborSet* neighbors);
+  // One entry per directed edge of `neighbors`.
+  explicit LinkStateTable(NeighborSet neighbors);
 
   void publish(NodeId from, NodeId to, const LinkMetrics& metrics);
   [[nodiscard]] const LinkMetrics& get(NodeId from, NodeId to) const;
-  // Sparse mode only: the entry of directed edge `edge` (a NeighborSet
-  // rank), read without searching the row.
+  // The entry of directed edge `edge` (a NeighborSet rank), read without
+  // searching the row.
   [[nodiscard]] const LinkMetrics& at_edge(std::size_t edge) const {
-    assert(nbrs_ != nullptr && edge < entries_.size());
+    assert(edge < entries_.size());
     return entries_[edge];
   }
-  // What get() returns for a pair outside the sparse neighbor graph.
+  // What get() returns for a pair outside the neighbor graph.
   [[nodiscard]] static const LinkMetrics& pristine();
 
   // A node is considered reachable-in-principle if at least one of its
@@ -80,10 +78,9 @@ class LinkStateTable {
     return up_cnt_[node] > 0 || est_cnt_[node] == 0;
   }
 
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] bool sparse() const { return nbrs_ != nullptr; }
-  // The capped graph a sparse table is keyed by; null in dense mode.
-  [[nodiscard]] const NeighborSet* neighbors() const { return nbrs_; }
+  [[nodiscard]] std::size_t size() const { return nbrs_.size(); }
+  // The graph the table is keyed by.
+  [[nodiscard]] const NeighborSet& neighbors() const { return nbrs_; }
 
   // Snapshot support: serializes every published entry.
   void save_state(snap::Encoder& e) const;
@@ -94,18 +91,16 @@ class LinkStateTable {
   // sanity per entry, and counter/scan agreement for node_seems_up.
   void check_invariants(TimePoint now, std::vector<std::string>& out) const;
 
-  // Visits every stored entry (dense: all n*n pairs; sparse: every
-  // directed edge), in storage order.
+  // Visits the entry of every directed edge in storage order: source
+  // ascending, then the source's row.
   void for_each_entry(
       const std::function<void(NodeId, NodeId, const LinkMetrics&)>& fn) const;
 
  private:
-  [[nodiscard]] std::size_t index(NodeId from, NodeId to) const;
   void recount();
 
-  std::size_t n_;
-  const NeighborSet* nbrs_ = nullptr;  // non-null => sparse CSR storage
-  std::vector<LinkMetrics> entries_;   // dense n*n, or one per directed edge
+  NeighborSet nbrs_;
+  std::vector<LinkMetrics> entries_;  // one per directed edge, edge-rank order
   // Per-node incident-entry counters backing O(1) node_seems_up:
   // est = incident entries with samples > 0; up = those also not down.
   std::vector<std::uint32_t> est_cnt_;

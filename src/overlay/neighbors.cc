@@ -125,18 +125,4 @@ void NeighborSet::finish(std::size_t n, std::vector<std::vector<NodeId>> rows) {
   is_landmark_.assign(n, false);
 }
 
-bool NeighborSet::adjacent(NodeId a, NodeId b) const {
-  if (a == b) return false;
-  if (full_) return true;
-  const auto row = neighbors(a);
-  return std::binary_search(row.begin(), row.end(), b);
-}
-
-std::size_t NeighborSet::edge_index(NodeId s, NodeId d) const {
-  const auto row = neighbors(s);
-  const auto it = std::lower_bound(row.begin(), row.end(), d);
-  assert(it != row.end() && *it == d);
-  return offsets_[s] + static_cast<std::size_t>(it - row.begin());
-}
-
 }  // namespace ronpath

@@ -14,20 +14,24 @@
 // of (topology, fanout, landmarks): no RNG involved, so rebuilding it
 // after a restore reproduces the same graph. Rows are sorted CSR, and
 // `edge_index` gives every directed edge a dense rank — the flat
-// storage key used by the overlay's estimator array and the sparse
-// link-state table (state is O(n * fanout) instead of O(n^2)). Edge
-// ranks of a row are contiguous from `row_begin`, and `reverse_edge`
-// maps (s, d) to (d, s) in O(1), so a walk over row s reads both
-// directions of every incident link without searching.
+// storage key used by the overlay's estimator array and the link-state
+// table (state is O(n * fanout) over a capped graph). Edge ranks of a
+// row are contiguous from `row_begin`, and `reverse_edge` maps (s, d)
+// to (d, s) in O(1), so a walk over row s reads both directions of
+// every incident link without searching.
 //
 // `full_mesh(n)` (also what `build` returns when fanout >= n-1)
-// materializes the complete graph with `full() == true`; consumers use
-// the flag to keep bit-identical legacy behaviour — that equivalence is
-// the correctness anchor for the capped mode.
+// materializes the complete graph with `full() == true`. The flag only
+// selects O(1) answers for `adjacent` and `edge_index` (row s of a full
+// mesh is every node but s, so d's rank is d - (d > s)); every reader
+// outside this class sees the same CSR rows for a full mesh as for a
+// capped graph.
 
 #ifndef RONPATH_OVERLAY_NEIGHBORS_H_
 #define RONPATH_OVERLAY_NEIGHBORS_H_
 
+#include <algorithm>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -56,11 +60,22 @@ class NeighborSet {
   [[nodiscard]] std::span<const NodeId> neighbors(NodeId s) const {
     return {nbrs_.data() + offsets_[s], degree(s)};
   }
-  [[nodiscard]] bool adjacent(NodeId a, NodeId b) const;
+  [[nodiscard]] bool adjacent(NodeId a, NodeId b) const {
+    if (a == b) return false;
+    if (full_) return true;
+    const auto row = neighbors(a);
+    return std::binary_search(row.begin(), row.end(), b);
+  }
 
   // Dense rank of directed edge (s, d): CSR row offset plus the rank of
   // d within row s. Asserts that the edge exists.
-  [[nodiscard]] std::size_t edge_index(NodeId s, NodeId d) const;
+  [[nodiscard]] std::size_t edge_index(NodeId s, NodeId d) const {
+    assert(adjacent(s, d));
+    if (full_) return offsets_[s] + d - (d > s ? 1 : 0);
+    const auto row = neighbors(s);
+    return offsets_[s] +
+           static_cast<std::size_t>(std::lower_bound(row.begin(), row.end(), d) - row.begin());
+  }
   // Total directed edges (== nbrs_.size(); rows are symmetric).
   [[nodiscard]] std::size_t edge_count() const { return nbrs_.size(); }
   // Rank of (s, neighbors(s)[0]); row s holds ranks

@@ -22,24 +22,23 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
       cfg_(cfg),
       n_(net.topology().size()),
       rng_(rng.fork("overlay")),
-      neighbors_(make_neighbors(net.topology(), cfg_)),
-      table_(n_, &neighbors_),
+      table_(make_neighbors(net.topology(), cfg_)),
       capped_(cfg_.fanout > 0) {
   routers_.reserve(n_);
   for (NodeId i = 0; i < n_; ++i) {
     routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router));
   }
-  links_.reserve(neighbors_.edge_count());
+  links_.reserve(neighbors().edge_count());
   const EstimatorConfig est_cfg{cfg_.loss_window, cfg_.use_ewma_loss, cfg_.loss_ewma_alpha,
                                 cfg_.lat_alpha};
   for (NodeId s = 0; s < n_; ++s) {
-    for (std::size_t i = 0; i < neighbors_.degree(s); ++i) links_.emplace_back(est_cfg);
+    for (std::size_t i = 0; i < neighbors().degree(s); ++i) links_.emplace_back(est_cfg);
   }
   stride_.resize(n_, 1);
   budget_.resize(n_, 0);
   meters_.resize(n_);
   for (NodeId i = 0; i < n_; ++i) {
-    const std::size_t degree = neighbors_.degree(i);
+    const std::size_t degree = neighbors().degree(i);
     if (capped_ && cfg_.fanout < degree) {
       stride_[i] = static_cast<std::uint32_t>((degree + cfg_.fanout - 1) / cfg_.fanout);
     }
@@ -68,7 +67,7 @@ std::size_t OverlayNetwork::link_index(NodeId src, NodeId dst) const {
 }
 
 const LinkEstimator& OverlayNetwork::estimator(NodeId src, NodeId dst) const {
-  return links_[neighbors_.edge_index(src, dst)];
+  return links_[neighbors().edge_index(src, dst)];
 }
 
 std::array<std::int64_t, 6> OverlayNetwork::loss_run_counts() const {
@@ -86,10 +85,10 @@ std::size_t OverlayNetwork::state_bytes() const {
   // scaling next to the process-level RSS bench_scale also reports.
   std::size_t bytes = links_.capacity() * sizeof(LinkEstimator);
   bytes += links_.size() * (cfg_.loss_window / 8);  // probe-window bits
-  bytes += (table_.sparse() ? neighbors_.edge_count() : n_ * n_) * sizeof(LinkMetrics);
+  bytes += neighbors().edge_count() * sizeof(LinkMetrics);
   bytes += probe_tasks_.size() *
            (sizeof(PeriodicTask) + sizeof(std::unique_ptr<PeriodicTask>));
-  bytes += neighbors_.edge_count() * sizeof(NodeId) + (n_ + 1) * sizeof(std::size_t);
+  bytes += neighbors().edge_count() * sizeof(NodeId) + (n_ + 1) * sizeof(std::size_t);
   bytes += n_ * (sizeof(ControlMeter) + sizeof(std::uint32_t) + sizeof(std::int64_t) +
                  2 * sizeof(std::uint32_t));
   return bytes;
@@ -111,7 +110,7 @@ void OverlayNetwork::start() {
   if (started_) return;
   started_ = true;
   for (NodeId s = 0; s < n_; ++s) {
-    const auto row = neighbors_.neighbors(s);
+    const auto row = neighbors().neighbors(s);
     const std::uint32_t stride = stride_[s];
     const Duration period = cfg_.probe_interval * static_cast<std::int64_t>(stride);
     for (std::size_t rank = 0; rank < row.size(); ++rank) {
@@ -135,7 +134,7 @@ void OverlayNetwork::probe_once(NodeId src, NodeId dst) {
   if (!node_up(src, now)) return;  // failed hosts stop probing
 
   ++probes_sent_;
-  LinkEstimator& est = links_[neighbors_.edge_index(src, dst)];
+  LinkEstimator& est = links_[neighbors().edge_index(src, dst)];
 
   // Request leg.
   const PathSpec fwd{src, dst, kDirectVia};
@@ -159,7 +158,7 @@ void OverlayNetwork::probe_once(NodeId src, NodeId dst) {
 
 void OverlayNetwork::send_followup(NodeId src, NodeId dst, int remaining) {
   const TimePoint now = sched_.now();
-  LinkEstimator& est = links_[neighbors_.edge_index(src, dst)];
+  LinkEstimator& est = links_[neighbors().edge_index(src, dst)];
   bool lost = true;
   if (node_up(src, now)) {
     const TransmitResult req =
@@ -217,7 +216,7 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   meter.total_bytes += bytes;
   ++meter.total_announces;
 
-  const LinkEstimator& est = links_[neighbors_.edge_index(src, dst)];
+  const LinkEstimator& est = links_[neighbors().edge_index(src, dst)];
   LinkMetrics m;
   m.loss = est.loss();
   m.latency = est.latency();
@@ -401,7 +400,7 @@ void OverlayNetwork::check_invariants(TimePoint now, std::vector<std::string>& o
   {
     std::size_t i = 0;
     for (NodeId s = 0; s < n_; ++s) {
-      for (const NodeId d : neighbors_.neighbors(s)) {
+      for (const NodeId d : neighbors().neighbors(s)) {
         const std::string who =
             "estimator " + std::to_string(s) + "->" + std::to_string(d);
         links_[i++].check_invariants(who, now, out);
@@ -412,7 +411,7 @@ void OverlayNetwork::check_invariants(TimePoint now, std::vector<std::string>& o
     host_failures_[i].check_invariants("host-failure " + std::to_string(i), out);
   }
   if (probes_sent_ < 0) out.push_back("overlay: negative probe counter");
-  if (started_ && probe_tasks_.size() != neighbors_.edge_count()) {
+  if (started_ && probe_tasks_.size() != neighbors().edge_count()) {
     out.push_back("overlay: probe task count does not cover the mesh");
   }
   for (NodeId i = 0; i < n_; ++i) {

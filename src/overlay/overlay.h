@@ -143,7 +143,7 @@ class OverlayNetwork {
   [[nodiscard]] const Router& router(NodeId node) const { return *routers_[node]; }
 
   // The probed/announced graph (full mesh in legacy mode).
-  [[nodiscard]] const NeighborSet& neighbors() const { return neighbors_; }
+  [[nodiscard]] const NeighborSet& neighbors() const { return table_.neighbors(); }
   // True when announcement rotation + budget enforcement are active.
   [[nodiscard]] bool capped() const { return capped_; }
   // Rotation stride of a node's announcements (1 in legacy mode).
@@ -222,9 +222,7 @@ class OverlayNetwork {
   OverlayConfig cfg_;
   std::size_t n_;
   Rng rng_;
-  // Declared before table_/routers_: both hold pointers into it.
-  NeighborSet neighbors_;
-  LinkStateTable table_;
+  LinkStateTable table_;  // owns the probed graph (neighbors())
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<LinkEstimator> links_;  // one per directed edge, CSR order
   std::vector<std::uint32_t> stride_;   // per node, 1 in legacy mode

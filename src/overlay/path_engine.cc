@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace ronpath {
 
@@ -27,8 +29,8 @@ struct LossObj {
   using Value = double;
   using Link = double;
   static constexpr Value kUnset = -1.0;  // below any survival in [0, 1]
-  static Link link(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
-    return link_loss(m, cfg, expired);
+  static Link link(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
+    return link_loss(m, cfg, now);
   }
   static Value seed(Link l) { return 1.0 - l; }
   static Value extend(Value prev, Link l) { return prev * (1.0 - l); }
@@ -45,8 +47,8 @@ struct LatObj {
   using Value = Duration;
   using Link = Duration;
   static constexpr Value kUnset = Duration::min();  // negative: no real chain
-  static Link link(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
-    return link_latency(m, cfg, expired);
+  static Link link(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
+    return link_latency(m, cfg, now);
   }
   static Value seed(Link l) { return l; }
   static Value extend(Value prev, Link l) { return Duration::saturating_add(prev, l); }
@@ -92,25 +94,19 @@ void offer(EngineChoice& best, const RouterConfig& cfg, int r, typename Obj::Val
 
 // Visits the one-relay candidates of src -> dst in ascending id order as
 // visit(u, get(src, u), get(u, dst)) until visit returns false. The
-// candidates are every node but the endpoints or, with `endpoint_rows`
-// over a sparse table, the sorted merge of the two endpoint rows. A
-// sparse table is read by edge rank: (src, u) at src's row offset and
-// (u, dst) through the reverse of (dst, u), both O(1); a leg between
-// non-adjacent nodes reads the pristine entry, exactly as get() does.
+// candidates are every node but the endpoints or, with `endpoint_rows`,
+// the sorted merge of the two endpoint rows. Legs are read by edge rank:
+// (src, u) at src's row offset and (u, dst) through the reverse of
+// (dst, u), both O(1); a leg between non-adjacent nodes reads the
+// pristine entry, exactly as get() does.
 template <class Visit>
 void for_each_relay(const LinkStateTable& t, NodeId src, NodeId dst, bool endpoint_rows,
                     Visit&& visit) {
-  const NeighborSet* g = t.neighbors();
-  if (g == nullptr) {  // dense: get() is an O(1) index
-    for (NodeId u = 0; u < t.size(); ++u) {
-      if (u != src && u != dst && !visit(u, t.get(src, u), t.get(u, dst))) return;
-    }
-    return;
-  }
-  const auto a = g->neighbors(src);
-  const auto b = g->neighbors(dst);
-  const std::size_t a_edge = g->row_begin(src);
-  const std::size_t b_edge = g->row_begin(dst);
+  const NeighborSet& g = t.neighbors();
+  const auto a = g.neighbors(src);
+  const auto b = g.neighbors(dst);
+  const std::size_t a_edge = g.row_begin(src);
+  const std::size_t b_edge = g.row_begin(dst);
   const auto head = [](std::span<const NodeId> row, std::size_t i) {
     return i < row.size() ? row[i] : kInvalidNode;
   };
@@ -121,7 +117,7 @@ void for_each_relay(const LinkStateTable& t, NodeId src, NodeId dst, bool endpoi
     if (u >= t.size()) return;  // also kInvalidNode: both rows consumed
     const LinkMetrics& in = head(a, i) == u ? t.at_edge(a_edge + i++) : LinkStateTable::pristine();
     const LinkMetrics& out =
-        head(b, j) == u ? t.at_edge(g->reverse_edge(b_edge + j++)) : LinkStateTable::pristine();
+        head(b, j) == u ? t.at_edge(g.reverse_edge(b_edge + j++)) : LinkStateTable::pristine();
     if (u != src && u != dst && !visit(u, in, out)) return;
   }
 }
@@ -133,9 +129,7 @@ template <class Obj>
 EngineChoice one_relay(const LinkStateTable& t, const RouterConfig& cfg, EngineStats& stats,
                        NodeId src, NodeId dst, TimePoint now, const RelayFilter& f) {
   assert(std::is_sorted(f.excluded.begin(), f.excluded.end()));
-  const auto link = [&](const LinkMetrics& m) {
-    return Obj::link(m, cfg, entry_expired(m, cfg, now));
-  };
+  const auto link = [&](const LinkMetrics& m) { return Obj::link(m, cfg, now); };
   EngineChoice best = direct_choice<Obj>(link(t.get(src, dst)), f.include_direct);
   typename Obj::Value top = Obj::kUnset;
   NodeId via = kInvalidNode;
@@ -165,11 +159,11 @@ EngineChoice one_relay(const LinkStateTable& t, const RouterConfig& cfg, EngineS
 
 }  // namespace
 
-// Relaxation kernel shared by scratch, per-query and incremental
-// paths. Operates on one objective's flat label arrays. All tie-breaks
-// are "strict improvement scanning predecessors in ascending order"
-// (equivalently: better value, else smaller parent id), which is the
-// order the differential reference replicates.
+// Relaxation kernel of a k >= 2 query. Operates on one objective's flat
+// label arrays. All tie-breaks are "strict improvement scanning
+// predecessors in ascending order" (equivalently: better value, else
+// smaller parent id), which is the order the differential reference
+// replicates.
 template <class Obj>
 struct EngineKernel {
   using Value = typename Obj::Value;
@@ -178,26 +172,19 @@ struct EngineKernel {
   const RouterConfig& cfg;
   std::size_t n;
   NodeId src;
-  // Banned relay (per-query mode passes the destination: the legacy
-  // scans never relay through dst, and with a zero penalty a chain
-  // revisiting dst can out-round the direct path by one ulp). Shared
-  // tables serve every destination, so they leave this unset and rely
-  // on per-relay penalties to dominate such chains.
+  // Banned relay: the queried destination. The legacy scans never relay
+  // through dst, and with a zero penalty a chain revisiting dst can
+  // out-round the direct path by one ulp.
   NodeId ban;
   const std::vector<bool>& live;
-  const std::vector<bool>* excluded;       // may be null
-  const std::vector<bool>* expired_table;  // shared mode; null => use `now`
+  const std::vector<bool>* excluded;  // may be null
   TimePoint now;
   std::vector<Value>& val;   // [(round) * n + node]
   std::vector<NodeId>& par;  // kInvalidNode == unset; src at round 0
   EngineStats& stats;
 
   [[nodiscard]] typename Obj::Link edge(NodeId u, NodeId w) const {
-    const LinkMetrics& m = table.get(u, w);
-    const bool exp = expired_table != nullptr
-                         ? (*expired_table)[static_cast<std::size_t>(u) * n + w]
-                         : entry_expired(m, cfg, now);
-    return Obj::link(m, cfg, exp);
+    return Obj::link(table.get(u, w), cfg, now);
   }
 
   // A node may act as a relay source for round r when it is not the
@@ -218,23 +205,20 @@ struct EngineKernel {
     return true;
   }
 
-  void seed_one(NodeId w) {
-    if (w == src) {
-      val[w] = Obj::kUnset;
-      par[w] = kInvalidNode;
-      return;
-    }
-    val[w] = Obj::seed(edge(src, w));
-    par[w] = src;
-  }
-
   void seed_round0() {
-    for (NodeId w = 0; w < n; ++w) seed_one(w);
+    for (NodeId w = 0; w < n; ++w) {
+      if (w == src) {
+        val[w] = Obj::kUnset;
+        par[w] = kInvalidNode;
+      } else {
+        val[w] = Obj::seed(edge(src, w));
+        par[w] = src;
+      }
+    }
   }
 
   // Offers label(r-1, u) + edge(u, w) as a candidate for label(r, w).
-  // Returns true when the label changed (value or parent).
-  bool cand_check(int r, NodeId w, NodeId u) {
+  void cand_check(int r, NodeId w, NodeId u) {
     ++stats.edges_relaxed;
     const std::size_t i = static_cast<std::size_t>(r) * n + w;
     const Value cand = Obj::extend(val[static_cast<std::size_t>(r - 1) * n + u], edge(u, w));
@@ -242,27 +226,7 @@ struct EngineKernel {
         (cand == val[i] && u < par[i])) {
       val[i] = cand;
       par[i] = u;
-      return true;
     }
-    return false;
-  }
-
-  // Recomputes label(r, w) from scratch over all admissible sources.
-  // Returns true when the result differs from the previous label.
-  bool rescan(int r, NodeId w) {
-    ++stats.labels_rescanned;
-    const std::size_t i = static_cast<std::size_t>(r) * n + w;
-    const Value old_val = val[i];
-    const NodeId old_par = par[i];
-    val[i] = Obj::kUnset;
-    par[i] = kInvalidNode;
-    if (w != src) {
-      for (NodeId u = 0; u < n; ++u) {
-        if (u == w || !admissible(u, r)) continue;
-        cand_check(r, w, u);
-      }
-    }
-    return val[i] != old_val || par[i] != old_par;
   }
 
   // Full round-r relax. `only`, when valid, restricts targets to one
@@ -304,9 +268,6 @@ struct EngineKernel {
   }
 };
 
-template struct EngineKernel<LossObj>;
-template struct EngineKernel<LatObj>;
-
 PathEngine::PathEngine(const LinkStateTable& table, const RouterConfig& cfg)
     : table_(table), cfg_(cfg), n_(table.size()) {}
 
@@ -334,10 +295,11 @@ EngineChoice finish(const EngineKernel<Obj>& k, NodeId dst, int max_hops,
   return best;
 }
 
-int clamp_rounds(int max_hops) {
-  if (max_hops < 1) return 1;
-  if (max_hops > PathEngine::kMaxRounds) return PathEngine::kMaxRounds;
-  return max_hops;
+void check_depth(int max_hops) {
+  if (max_hops < 1 || max_hops > PathEngine::kMaxRounds) {
+    throw std::invalid_argument("path engine: max_hops " + std::to_string(max_hops) +
+                                " outside [1, " + std::to_string(PathEngine::kMaxRounds) + "]");
+  }
 }
 
 }  // namespace
@@ -346,25 +308,14 @@ void PathEngine::refresh_live() {
   for (NodeId v = 0; v < n_; ++v) q_live_[v] = table_.node_seems_up(v);
 }
 
-void PathEngine::refresh_expired() {
-  expired_.assign(n_ * n_, false);
-  for (NodeId u = 0; u < n_; ++u) {
-    for (NodeId w = 0; w < n_; ++w) {
-      if (u == w) continue;
-      expired_[static_cast<std::size_t>(u) * n_ + w] =
-          entry_expired(table_.get(u, w), cfg_, now_);
-    }
-  }
-}
-
 const std::vector<bool>* PathEngine::relay_mask(NodeId src, NodeId dst,
                                                 const RelayFilter& filter) {
-  const NeighborSet* g = filter.endpoint_rows ? table_.neighbors() : nullptr;
-  if (g == nullptr && filter.excluded.empty()) return nullptr;
-  q_mask_.assign(n_, g != nullptr);
-  if (g != nullptr) {
-    for (const NodeId v : g->neighbors(src)) q_mask_[v] = false;
-    for (const NodeId v : g->neighbors(dst)) q_mask_[v] = false;
+  if (!filter.endpoint_rows && filter.excluded.empty()) return nullptr;
+  q_mask_.assign(n_, filter.endpoint_rows);
+  if (filter.endpoint_rows) {
+    const NeighborSet& g = table_.neighbors();
+    for (const NodeId v : g.neighbors(src)) q_mask_[v] = false;
+    for (const NodeId v : g.neighbors(dst)) q_mask_[v] = false;
   }
   for (const NodeId v : filter.excluded) q_mask_[v] = true;
   return &q_mask_;
@@ -375,235 +326,38 @@ EngineChoice PathEngine::query_rounds(NodeId src, NodeId dst, int rounds, TimePo
                                       const RelayFilter& filter, Labels& labels) {
   ensure_scratch();
   refresh_live();
-  EngineKernel<Obj> kern{table_, cfg_, n_, src, /*ban=*/dst, q_live_, relay_mask(src, dst, filter),
-                         nullptr, now, labels.value, labels.parent, stats_};
+  EngineKernel<Obj> kern{table_,       cfg_,          n_,    src, /*ban=*/dst, q_live_,
+                         relay_mask(src, dst, filter), now, labels.value, labels.parent, stats_};
   kern.seed_round0();
   for (int r = 1; r <= rounds; ++r) kern.relax_round(r, r == rounds ? dst : kInvalidNode);
-  const LinkMetrics& direct = table_.get(src, dst);
-  return finish<Obj>(kern, dst, rounds, Obj::link(direct, cfg_, entry_expired(direct, cfg_, now)),
+  return finish<Obj>(kern, dst, rounds, Obj::link(table_.get(src, dst), cfg_, now),
                      filter.include_direct);
 }
 
 EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
                                    const RelayFilter& filter) {
   assert(src < n_ && dst < n_ && src != dst);
-  const int k = clamp_rounds(max_hops);
-  if (k == 1) return one_relay<LossObj>(table_, cfg_, stats_, src, dst, now, filter);
-  return query_rounds<LossObj>(src, dst, k, now, filter, q_loss_);
+  check_depth(max_hops);
+  if (max_hops == 1) return one_relay<LossObj>(table_, cfg_, stats_, src, dst, now, filter);
+  return query_rounds<LossObj>(src, dst, max_hops, now, filter, q_loss_);
 }
 
 EngineChoice PathEngine::best_latency(NodeId src, NodeId dst, int max_hops, TimePoint now,
                                       const RelayFilter& filter) {
   assert(src < n_ && dst < n_ && src != dst);
-  const int k = clamp_rounds(max_hops);
-  if (k == 1) return one_relay<LatObj>(table_, cfg_, stats_, src, dst, now, filter);
-  return query_rounds<LatObj>(src, dst, k, now, filter, q_lat_);
+  check_depth(max_hops);
+  if (max_hops == 1) return one_relay<LatObj>(table_, cfg_, stats_, src, dst, now, filter);
+  return query_rounds<LatObj>(src, dst, max_hops, now, filter, q_lat_);
 }
 
-std::vector<NodeId> PathEngine::live_relays(NodeId src, NodeId dst, bool endpoint_rows) const {
+std::vector<NodeId> PathEngine::live_relays(NodeId src, NodeId dst) const {
   std::vector<NodeId> out;
-  for_each_relay(table_, src, dst, endpoint_rows,
+  for_each_relay(table_, src, dst, /*endpoint_rows=*/true,
                  [&](NodeId u, const LinkMetrics&, const LinkMetrics&) {
                    if (table_.node_seems_up(u)) out.push_back(u);
                    return true;
                  });
   return out;
-}
-
-void PathEngine::relax_all(NodeId src, int max_hops, TimePoint now) {
-  assert(src < n_);
-  src_ = src;
-  rounds_ = clamp_rounds(max_hops);
-  now_ = now;
-  const std::size_t want = static_cast<std::size_t>(kMaxRounds + 1) * n_;
-  s_loss_.value.assign(want, -1.0);
-  s_loss_.parent.assign(want, kInvalidNode);
-  s_lat_.value.assign(want, Duration::min());
-  s_lat_.parent.assign(want, kInvalidNode);
-  live_.assign(n_, false);
-  for (NodeId v = 0; v < n_; ++v) live_[v] = table_.node_seems_up(v);
-  refresh_expired();
-
-  EngineKernel<LossObj> kl{table_,  cfg_,      n_,   src_,          kInvalidNode,   live_,
-                           nullptr, &expired_, now_, s_loss_.value, s_loss_.parent, stats_};
-  kl.seed_round0();
-  for (int r = 1; r <= rounds_; ++r) kl.relax_round(r);
-  EngineKernel<LatObj> kt{table_,  cfg_,      n_,   src_,         kInvalidNode,  live_,
-                          nullptr, &expired_, now_, s_lat_.value, s_lat_.parent, stats_};
-  kt.seed_round0();
-  for (int r = 1; r <= rounds_; ++r) kt.relax_round(r);
-  shared_ready_ = true;
-}
-
-namespace {
-
-// Incremental re-relaxation driver for one objective. `edges` lists
-// republished / expiry-flipped entries; `live_flips` lists nodes whose
-// seems-up status flipped. Per round: labels whose recorded parent is a
-// dirty source are fully rescanned (its candidate may have worsened),
-// every other label gets cheap single-candidate improvement checks from
-// the dirty sources. Dirty sources for round r are nodes whose label
-// changed at r-1 (candidate value changed) or at r-2 (stagnation
-// status, hence admissibility, may have flipped), plus liveness flips.
-template <class Obj>
-void incremental_pass(EngineKernel<Obj>& k, int rounds,
-                      const std::vector<std::pair<NodeId, NodeId>>& edges,
-                      const std::vector<NodeId>& live_flips, std::vector<bool>& prev,
-                      std::vector<bool>& prev2, std::vector<bool>& cur,
-                      std::vector<bool>& rescan_set) {
-  const std::size_t n = k.n;
-  prev.assign(n, false);
-  prev2.assign(n, false);
-  std::vector<bool> flip(n, false);
-  for (NodeId x : live_flips) flip[x] = true;
-
-  // Round 0: only edges out of the source matter; liveness does not
-  // gate the direct label.
-  for (const auto& [u, v] : edges) {
-    if (u != k.src || v == k.src) continue;
-    const std::size_t i = v;
-    const typename Obj::Value old_val = k.val[i];
-    k.seed_one(v);
-    if (k.val[i] != old_val && !prev[v]) {
-      prev[v] = true;
-      ++k.stats.labels_changed;
-    }
-  }
-
-  for (int r = 1; r <= rounds; ++r) {
-    cur.assign(n, false);
-    rescan_set.assign(n, false);
-    const std::size_t base = static_cast<std::size_t>(r) * n;
-    // (a) Labels that must be fully recomputed: parent is dirty, or the
-    // changed edge feeds the recorded parent link.
-    for (NodeId w = 0; w < n; ++w) {
-      const NodeId p = k.par[base + w];
-      if (p == kInvalidNode || p == k.src) continue;
-      if (prev[p] || prev2[p] || flip[p]) rescan_set[w] = true;
-    }
-    for (const auto& [u, v] : edges) {
-      if (u == k.src || v == k.src) continue;
-      if (k.par[base + v] == u) rescan_set[v] = true;
-    }
-    for (NodeId w = 0; w < n; ++w) {
-      if (rescan_set[w] && k.rescan(r, w)) {
-        cur[w] = true;
-        ++k.stats.labels_changed;
-      }
-    }
-    // (b) Improvement checks from dirty sources into every other label.
-    for (NodeId u = 0; u < n; ++u) {
-      if (!prev[u] && !prev2[u] && !flip[u]) continue;
-      if (!k.admissible(u, r)) continue;
-      for (NodeId w = 0; w < n; ++w) {
-        if (w == u || w == k.src || rescan_set[w]) continue;
-        if (k.cand_check(r, w, u)) {
-          cur[w] = true;
-          ++k.stats.labels_changed;
-        }
-      }
-    }
-    // (c) Changed edges offer their (possibly improved) candidate.
-    for (const auto& [u, v] : edges) {
-      if (u == k.src || v == k.src || v == u) continue;
-      if (rescan_set[v] || !k.admissible(u, r)) continue;
-      if (k.cand_check(r, v, u)) {
-        cur[v] = true;
-        ++k.stats.labels_changed;
-      }
-    }
-    std::swap(prev2, prev);
-    std::swap(prev, cur);
-  }
-}
-
-}  // namespace
-
-void PathEngine::apply_update(NodeId from, NodeId to) {
-  assert(shared_ready_);
-  assert(from < n_ && to < n_ && from != to);
-  expired_[static_cast<std::size_t>(from) * n_ + to] =
-      entry_expired(table_.get(from, to), cfg_, now_);
-  std::vector<std::pair<NodeId, NodeId>> edges{{from, to}};
-  std::vector<NodeId> flips;
-  for (NodeId x : {from, to}) {
-    if (x == src_) continue;
-    const bool up = table_.node_seems_up(x);
-    if (up != live_[x]) {
-      live_[x] = up;
-      flips.push_back(x);
-    }
-  }
-  EngineKernel<LossObj> kl{table_,  cfg_,      n_,   src_,          kInvalidNode,   live_,
-                           nullptr, &expired_, now_, s_loss_.value, s_loss_.parent, stats_};
-  incremental_pass(kl, rounds_, edges, flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-  EngineKernel<LatObj> kt{table_,  cfg_,      n_,   src_,         kInvalidNode,  live_,
-                          nullptr, &expired_, now_, s_lat_.value, s_lat_.parent, stats_};
-  incremental_pass(kt, rounds_, edges, flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-}
-
-void PathEngine::set_now(TimePoint now) {
-  assert(shared_ready_);
-  now_ = now;
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId u = 0; u < n_; ++u) {
-    for (NodeId w = 0; w < n_; ++w) {
-      if (u == w) continue;
-      const std::size_t i = static_cast<std::size_t>(u) * n_ + w;
-      const bool exp = entry_expired(table_.get(u, w), cfg_, now_);
-      if (exp != expired_[i]) {
-        expired_[i] = exp;
-        edges.emplace_back(u, w);
-      }
-    }
-  }
-  if (edges.empty()) return;
-  const std::vector<NodeId> no_flips;  // liveness ignores staleness
-  EngineKernel<LossObj> kl{table_,  cfg_,      n_,   src_,          kInvalidNode,   live_,
-                           nullptr, &expired_, now_, s_loss_.value, s_loss_.parent, stats_};
-  incremental_pass(kl, rounds_, edges, no_flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-  EngineKernel<LatObj> kt{table_,  cfg_,      n_,   src_,         kInvalidNode,  live_,
-                          nullptr, &expired_, now_, s_lat_.value, s_lat_.parent, stats_};
-  incremental_pass(kt, rounds_, edges, no_flips, changed_prev_, changed_prev2_, changed_cur_,
-                   rescan_);
-}
-
-EngineChoice PathEngine::table_best_loss(NodeId dst) const {
-  assert(shared_ready_ && dst < n_ && dst != src_);
-  auto& self = *const_cast<PathEngine*>(this);
-  EngineKernel<LossObj> kern{table_,  cfg_,      n_,   src_,               kInvalidNode,
-                             live_,   nullptr,   &expired_,
-                             now_,    self.s_loss_.value, self.s_loss_.parent, self.stats_};
-  const double direct =
-      link_loss(table_.get(src_, dst), cfg_, expired_[static_cast<std::size_t>(src_) * n_ + dst]);
-  return finish<LossObj>(kern, dst, rounds_, direct, true);
-}
-
-EngineChoice PathEngine::table_best_latency(NodeId dst) const {
-  assert(shared_ready_ && dst < n_ && dst != src_);
-  auto& self = *const_cast<PathEngine*>(this);
-  EngineKernel<LatObj> kern{table_,  cfg_,      n_,   src_,              kInvalidNode,
-                            live_,   nullptr,   &expired_,
-                            now_,    self.s_lat_.value, self.s_lat_.parent, self.stats_};
-  const Duration direct = link_latency(
-      table_.get(src_, dst), cfg_, expired_[static_cast<std::size_t>(src_) * n_ + dst]);
-  return finish<LatObj>(kern, dst, rounds_, direct, true);
-}
-
-double PathEngine::loss_label(int round, NodeId node) const {
-  return s_loss_.value[static_cast<std::size_t>(round) * n_ + node];
-}
-Duration PathEngine::lat_label(int round, NodeId node) const {
-  return s_lat_.value[static_cast<std::size_t>(round) * n_ + node];
-}
-NodeId PathEngine::loss_parent(int round, NodeId node) const {
-  return s_loss_.parent[static_cast<std::size_t>(round) * n_ + node];
-}
-NodeId PathEngine::lat_parent(int round, NodeId node) const {
-  return s_lat_.parent[static_cast<std::size_t>(round) * n_ + node];
 }
 
 }  // namespace ronpath

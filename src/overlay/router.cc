@@ -2,34 +2,40 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "overlay/path_engine.h"
 #include "snapshot/codec.h"
 
 namespace ronpath {
+namespace {
 
-double link_loss(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
+// A stored incumbent is a path from `self` to its destination key whose
+// relays are each a node or kDirectVia. Shared by restore_state (on the
+// raw fields) and check_invariants.
+bool incumbent_ok(std::uint64_t src, std::uint64_t dst, std::uint64_t via, std::uint64_t via2,
+                  NodeId self, std::uint64_t key, std::size_t n) {
+  const auto relay_ok = [n](std::uint64_t v) { return v == kDirectVia || v < n; };
+  return src == self && dst == key && relay_ok(via) && relay_ok(via2);
+}
+
+}  // namespace
+
+double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
   // Expired entries degrade to "unknown", not to their last value: a
   // stale "0.1% loss" (or a stale down flag) is exactly the garbage the
   // degradation policy exists to stop routing on.
-  if (expired) return cfg.unknown_loss;
+  if (entry_expired(m, cfg, now)) return cfg.unknown_loss;
   // Down links lose everything for selection purposes.
   if (m.down) return 1.0;
   return m.loss;
 }
 
-double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
-  return link_loss(m, cfg, entry_expired(m, cfg, now));
-}
-
-Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, bool expired) {
-  if (expired) return Duration::max();
+Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
+  if (entry_expired(m, cfg, now)) return Duration::max();
   if (m.down) return cfg.down_penalty;
   return m.latency;  // Duration::max() when never measured
-}
-
-Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
-  return link_latency(m, cfg, entry_expired(m, cfg, now));
 }
 
 bool entry_expired(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now) {
@@ -97,8 +103,10 @@ bool path_down(const LinkStateTable& table, const PathSpec& path) {
 Router::Router(NodeId self, const LinkStateTable& table, RouterConfig cfg)
     : self_(self), table_(table), cfg_(cfg) {
   // The forwarding plane carries at most two relays.
-  if (cfg_.max_intermediates < 1) cfg_.max_intermediates = 1;
-  if (cfg_.max_intermediates > 2) cfg_.max_intermediates = 2;
+  if (cfg_.max_intermediates < 1 || cfg_.max_intermediates > 2) {
+    throw std::invalid_argument("router: max_intermediates " +
+                                std::to_string(cfg_.max_intermediates) + " outside [1, 2]");
+  }
   engine_ = std::make_unique<PathEngine>(table_, cfg_);
 }
 
@@ -137,27 +145,19 @@ std::int64_t Router::lat_switches(NodeId dst) const {
 }
 
 std::vector<NodeId> Router::live_intermediates(NodeId dst) const {
-  return engine_->live_relays(self_, dst, /*endpoint_rows=*/true);
+  return engine_->live_relays(self_, dst);
 }
 
 bool Router::view_degraded(TimePoint now) const {
   if (cfg_.entry_ttl <= Duration::zero()) return false;
+  // Only the neighbor row is ever refreshed over a capped graph;
+  // counting the silent rest of the mesh would read as permanently
+  // degraded at any useful fanout.
+  const NeighborSet& g = table_.neighbors();
+  const std::size_t total = g.degree(self_);
   std::size_t expired = 0;
-  std::size_t total = 0;
-  if (const NeighborSet* g = table_.neighbors()) {
-    // Only the neighbor row is ever refreshed over a capped graph;
-    // counting the silent rest of the mesh would read as permanently
-    // degraded at any useful fanout.
-    total = g->degree(self_);
-    for (std::size_t e = g->row_begin(self_); e < g->row_begin(self_) + total; ++e) {
-      if (entry_expired(table_.at_edge(e), cfg_, now)) ++expired;
-    }
-  } else {
-    for (NodeId v = 0; v < table_.size(); ++v) {
-      if (v == self_) continue;
-      ++total;
-      if (entry_expired(table_.get(self_, v), cfg_, now)) ++expired;
-    }
+  for (std::size_t e = g.row_begin(self_); e < g.row_begin(self_) + total; ++e) {
+    if (entry_expired(table_.at_edge(e), cfg_, now)) ++expired;
   }
   return total > 0 &&
          static_cast<double>(expired) > cfg_.degraded_view_threshold * static_cast<double>(total);
@@ -237,8 +237,8 @@ PathChoice Router::evaluate_loss(NodeId dst, DstState& st, TimePoint now) {
   }
 
   // Candidate scan via the path engine. At max_intermediates == 1 it is
-  // one ascending pass over N(self) u N(dst) (every node over a dense
-  // table) with the historical loop's composition and tie-break
+  // one ascending pass over N(self) u N(dst) (every node over the full
+  // mesh) with the historical loop's composition and tie-break
   // expressions; at 2 it also relaxes two-relay chains, each relay
   // charged indirect_loss_penalty.
   const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
@@ -350,17 +350,23 @@ void Router::save_state(snap::Encoder& e) const {
 
 void Router::restore_state(snap::Decoder& d) {
   d.expect_tag("ROUT");
-  const auto get_path = [&](std::optional<PathSpec>& p) {
-    if (d.b()) {
-      PathSpec spec;
-      spec.src = static_cast<NodeId>(d.u64());
-      spec.dst = static_cast<NodeId>(d.u64());
-      spec.via = static_cast<NodeId>(d.u64());
-      spec.via2 = static_cast<NodeId>(d.u64());
-      p = spec;
-    } else {
+  // Fields are checked as read, before narrowing to NodeId: a relay of
+  // 65538 would otherwise come back as node 2.
+  const auto get_path = [&](std::optional<PathSpec>& p, std::uint64_t key) {
+    if (!d.b()) {
       p.reset();
+      return;
     }
+    const std::uint64_t src = d.u64();
+    const std::uint64_t dst = d.u64();
+    const std::uint64_t via = d.u64();
+    const std::uint64_t via2 = d.u64();
+    if (!incumbent_ok(src, dst, via, via2, self_, key, table_.size())) {
+      throw snap::SnapshotError("snapshot: malformed router incumbent for dst " +
+                                std::to_string(key));
+    }
+    p = PathSpec{static_cast<NodeId>(src), static_cast<NodeId>(dst), static_cast<NodeId>(via),
+                 static_cast<NodeId>(via2)};
   };
   const std::uint64_t n_dst = d.count(19);
   dst_states_.clear();
@@ -373,8 +379,8 @@ void Router::restore_state(snap::Decoder& d) {
     }
     prev_dst = dst;
     DstState st;
-    get_path(st.loss_path);
-    get_path(st.lat_path);
+    get_path(st.loss_path, dst);
+    get_path(st.lat_path, dst);
     st.loss_switches = d.i64();
     st.lat_switches = d.i64();
     dst_states_.emplace_back(static_cast<NodeId>(dst), std::move(st));
@@ -429,10 +435,7 @@ void Router::check_invariants(TimePoint now, std::vector<std::string>& out) cons
       out.push_back(who + ": destination state keys out of order");
     }
     const auto check_path = [&](const std::optional<PathSpec>& p, const char* kind) {
-      if (!p) return;
-      const bool via_ok = p->via == kDirectVia || p->via < n;
-      const bool via2_ok = p->via2 == kDirectVia || p->via2 < n;
-      if (p->src != self_ || p->dst != dst || !via_ok || !via2_ok) {
+      if (p && !incumbent_ok(p->src, p->dst, p->via, p->via2, self_, dst, n)) {
         out.push_back(who + ": malformed " + kind + " incumbent for dst " +
                       std::to_string(dst));
       }

@@ -23,16 +23,15 @@
 // exponentially growing hold-down before it can be re-selected, bounding
 // flap amplification.
 //
-// Scaling (DESIGN.md §14): over a sparse table (a capped NeighborSet)
-// the router's relay candidates are N(self) u N(dst), which holds every
-// landmark because every node neighbors every landmark. At
-// max_intermediates == 1 a query is one path-engine scan over the
-// sorted merge of the two rows, O(|N(self)| + |N(dst)|); the
-// degraded-view denominator becomes the neighbor row; and
-// per-destination state (incumbents, switch counters, hold-downs) lives
-// in sorted flat maps populated on first touch — O(destinations
-// actually routed), not O(n) per router. Over a dense (full-mesh) table
-// every code path reduces to the legacy behaviour bit for bit.
+// Scaling (DESIGN.md §14): the router's relay candidates are
+// N(self) u N(dst) of the table's NeighborSet, which over a capped graph
+// holds every landmark because every node neighbors every landmark, and
+// over the full mesh is every node. At max_intermediates == 1 a query
+// is one path-engine scan over the sorted merge of the two rows,
+// O(|N(self)| + |N(dst)|); the degraded-view denominator is the own
+// neighbor row; and per-destination state (incumbents, switch counters,
+// hold-downs) lives in sorted flat maps populated on first touch —
+// O(destinations actually routed), not O(n) per router.
 
 #ifndef RONPATH_OVERLAY_ROUTER_H_
 #define RONPATH_OVERLAY_ROUTER_H_
@@ -102,7 +101,7 @@ struct RouterConfig {
   // Maximum overlay relays the reactive router may select (path-engine
   // rounds). 1 reproduces the paper's one-intermediate router; 2 lets
   // route() emit two-relay paths. The forwarding plane carries at most
-  // two relays, so values are clamped to [1, 2] here; deeper search is
+  // two relays, so the Router rejects any other value; deeper search is
   // available through PathEngine directly.
   int max_intermediates = 1;
 };
@@ -126,11 +125,6 @@ struct PathChoice {
 // path engine's relaxation, so the two compose identically.
 [[nodiscard]] double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
 [[nodiscard]] Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
-// Overloads taking a precomputed expiry verdict; the engine's shared
-// tables cache entry_expired() per entry so incremental updates need
-// not re-derive it per relaxation.
-[[nodiscard]] double link_loss(const LinkMetrics& m, const RouterConfig& cfg, bool expired);
-[[nodiscard]] Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, bool expired);
 
 // Composed one-way loss estimate of a path under the table's current view.
 // Handles direct, one-hop and two-hop paths. The `now`-aware overload
@@ -151,9 +145,9 @@ struct PathChoice {
 
 class Router {
  public:
-  // A sparse `table` restricts relay candidates to the endpoint rows of
-  // its NeighborSet and scopes the degraded-view scan to the own row; a
-  // dense one is the legacy unrestricted router.
+  // Relay candidates are the endpoint rows of the table's NeighborSet,
+  // and the degraded-view scan covers the own row. Throws
+  // std::invalid_argument unless cfg.max_intermediates is 1 or 2.
   Router(NodeId self, const LinkStateTable& table, RouterConfig cfg);
   ~Router();  // out of line: PathEngine is incomplete here
 
@@ -191,12 +185,14 @@ class Router {
   [[nodiscard]] PathChoice best_loss_path_two_hop(NodeId dst,
                                                   TimePoint now = TimePoint::epoch()) const;
 
-  // Candidate intermediates that currently seem up, ascending (excludes
-  // self, dst; restricted to N(self) u N(dst) over a sparse table).
+  // Candidate intermediates that currently seem up, ascending: N(self) u
+  // N(dst) without self and dst.
   [[nodiscard]] std::vector<NodeId> live_intermediates(NodeId dst) const;
 
   // Snapshot support: incumbents, switch counters and hold-down state.
   // The path engine holds only per-query scratch and is not serialized.
+  // restore_state rejects keys and incumbents that check_invariants
+  // would flag as out of range or malformed.
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 

@@ -89,15 +89,15 @@ void random_table(Rng& rng, LinkStateTable& t, TimePoint now) {
   }
 }
 
-RouterConfig random_cfg(Rng& rng, bool allow_zero_penalty) {
+RouterConfig random_cfg(Rng& rng) {
   RouterConfig cfg;
   switch (rng.next_below(3)) {
-    case 0: cfg.indirect_loss_penalty = allow_zero_penalty ? 0.0 : 0.03; break;
+    case 0: cfg.indirect_loss_penalty = 0.0; break;
     case 1: cfg.indirect_loss_penalty = 0.03; break;
     default: cfg.indirect_loss_penalty = 0.1; break;
   }
   switch (rng.next_below(3)) {
-    case 0: cfg.indirect_lat_penalty = allow_zero_penalty ? Duration::zero() : Duration::millis(1); break;
+    case 0: cfg.indirect_lat_penalty = Duration::zero(); break;
     case 1: cfg.indirect_lat_penalty = Duration::millis(1); break;
     default: cfg.indirect_lat_penalty = Duration::millis(5); break;
   }
@@ -377,7 +377,7 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
     const auto n = static_cast<NodeId>(3 + rng.next_below(7));
     const TimePoint now =
         TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
-    const RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+    const RouterConfig cfg = random_cfg(rng);
     LinkStateTable table(n);
     random_table(rng, table, now);
     const auto src = static_cast<NodeId>(rng.next_below(n));
@@ -428,45 +428,6 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
   }
 }
 
-// Shared incremental-mode tables must answer queries exactly like the
-// naive labels built with the same anchor. Nonzero penalties here:
-// shared tables do not ban the destination as a relay, and only the
-// per-relay penalty guarantees chains revisiting the destination are
-// dominated (see the engine header).
-TEST(PathEngineDiff, SharedTablesMatchNaiveOnRandomTables) {
-  const int cases = diff_cases(5500) / 4;
-  Rng rng(0xda942042e4dd58b5ULL);
-  for (int i = 0; i < cases; ++i) {
-    SCOPED_TRACE("case " + std::to_string(i));
-    const auto n = static_cast<NodeId>(3 + rng.next_below(7));
-    const TimePoint now =
-        TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
-    const RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/false);
-    LinkStateTable table(n);
-    random_table(rng, table, now);
-    const auto src = static_cast<NodeId>(rng.next_below(n));
-    const int k = static_cast<int>(1 + rng.next_below(3));
-
-    PathEngine engine(table, cfg);
-    engine.relax_all(src, k, now);
-    const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/kInvalidNode, k, now, nullptr);
-    for (NodeId dst = 0; dst < n; ++dst) {
-      if (dst == src) continue;
-      SCOPED_TRACE("dst " + std::to_string(dst));
-      const EngineChoice el = engine.table_best_loss(dst);
-      const NaiveChoice nl = naive_best_loss(L, table, cfg, src, dst, k, now, true);
-      ASSERT_EQ(el.loss, nl.loss);
-      ASSERT_EQ(el.hop_count, nl.hops);
-      ASSERT_EQ(engine_relays(el), nl.relays);
-      const EngineChoice et = engine.table_best_latency(dst);
-      const NaiveChoice nt = naive_best_latency(L, table, cfg, src, dst, k, now, true);
-      ASSERT_EQ(et.latency, nt.latency);
-      ASSERT_EQ(et.hop_count, nt.hops);
-      ASSERT_EQ(engine_relays(et), nt.relays);
-    }
-  }
-}
-
 // ---------------------------------------------------------------------
 // Legacy-equivalence: the engine at k == 1 is the historical router
 // scan, path and value bitwise.
@@ -479,7 +440,7 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
     const auto n = static_cast<NodeId>(3 + rng.next_below(7));
     const TimePoint now =
         TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
-    const RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+    const RouterConfig cfg = random_cfg(rng);
     LinkStateTable table(n);
     random_table(rng, table, now);
     const auto src = static_cast<NodeId>(rng.next_below(n));
@@ -546,7 +507,7 @@ TEST(PathEngineDiff, TwoHopValueMatchesLegacyInterleavedScan) {
     SCOPED_TRACE("case " + std::to_string(i));
     const auto n = static_cast<NodeId>(3 + rng.next_below(7));
     const TimePoint now = TimePoint::epoch();
-    RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+    RouterConfig cfg = random_cfg(rng);
     cfg.entry_ttl = Duration::zero();  // the legacy scan trusted entries forever
     LinkStateTable table(n);
     random_table(rng, table, now);
@@ -644,7 +605,7 @@ TEST(PathEngineDiff, CappedGraphScansMatchNaive) {
     const auto n = static_cast<NodeId>(g.size());
     const TimePoint now =
         TimePoint::epoch() + Duration::seconds(static_cast<std::int64_t>(100 + rng.next_below(400)));
-    LinkStateTable table(n, &g);
+    LinkStateTable table(g);
     random_sparse_table(rng, g, table, now);
     const NodeId src = random_endpoint(rng, g);
     NodeId dst = random_endpoint(rng, g);
@@ -657,7 +618,7 @@ TEST(PathEngineDiff, CappedGraphScansMatchNaive) {
     // Router query: relays from N(src) u N(dst) only; the naive
     // reference gets the restriction as an explicit mask.
     {
-      const RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+      const RouterConfig cfg = random_cfg(rng);
       std::vector<bool> mask(n, true);
       for (const NodeId v : g.neighbors(src)) mask[v] = false;
       for (const NodeId v : g.neighbors(dst)) mask[v] = false;
@@ -683,7 +644,7 @@ TEST(PathEngineDiff, CappedGraphScansMatchNaive) {
     // forever, so a relay adjacent to neither endpoint reads two
     // pristine zero-loss legs.
     {
-      RouterConfig cfg = random_cfg(rng, /*allow_zero_penalty=*/true);
+      RouterConfig cfg = random_cfg(rng);
       cfg.entry_ttl = Duration::zero();
       const RelayFilter filter{.excluded = barred, .include_direct = include_direct};
       PathEngine engine(table, cfg);

@@ -189,7 +189,7 @@ TEST(PathDepthConfig, ExperimentRejectsOutOfRangeDepth) {
   EXPECT_THROW(run_experiment(cfg), std::invalid_argument);
 }
 
-TEST(PathDepthConfig, RouterClampsDepthToForwardingLimit) {
+TEST(PathDepthConfig, RouterRejectsDepthOutsideForwardingLimit) {
   LinkStateTable t(4);
   fill(t, 0.3, Duration::millis(40));
   t.publish(0, 1, metrics(0.5, Duration::millis(40)));
@@ -197,17 +197,35 @@ TEST(PathDepthConfig, RouterClampsDepthToForwardingLimit) {
   t.publish(2, 3, metrics(0.0, Duration::millis(40)));
   t.publish(3, 1, metrics(0.0, Duration::millis(40)));
 
+  // In range: depth 2 picks the clean two-relay chain, depth 1 never can.
   RouterConfig deep;
-  deep.max_intermediates = 7;  // clamped to 2: PathSpec carries <= 2 relays
+  deep.max_intermediates = 2;
   Router r(0, t, deep);
-  const PathChoice c = r.best_loss_path(1);
-  EXPECT_TRUE(c.path.is_two_hop());
-
+  EXPECT_TRUE(r.best_loss_path(1).path.is_two_hop());
   RouterConfig shallow;
-  shallow.max_intermediates = 0;  // clamped to 1
+  shallow.max_intermediates = 1;
   Router r1(0, t, shallow);
-  const PathChoice c1 = r1.best_loss_path(1);
-  EXPECT_FALSE(c1.path.is_two_hop());
+  EXPECT_FALSE(r1.best_loss_path(1).path.is_two_hop());
+
+  // The forwarding plane carries at most two relays: anything else is
+  // rejected, not clamped.
+  for (const int depth : {0, 3, 7}) {
+    RouterConfig bad;
+    bad.max_intermediates = depth;
+    EXPECT_THROW(Router(0, t, bad), std::invalid_argument) << "depth " << depth;
+  }
+
+  // The engine itself searches 1..kMaxRounds relays and rejects the rest.
+  RouterConfig cfg;
+  PathEngine engine(t, cfg);
+  for (const int hops : {0, PathEngine::kMaxRounds + 1}) {
+    EXPECT_THROW((void)engine.best_loss(0, 1, hops, TimePoint::epoch()), std::invalid_argument)
+        << "max_hops " << hops;
+    EXPECT_THROW((void)engine.best_latency(0, 1, hops, TimePoint::epoch()),
+                 std::invalid_argument)
+        << "max_hops " << hops;
+  }
+  EXPECT_TRUE(engine.best_loss(0, 1, PathEngine::kMaxRounds, TimePoint::epoch()).valid);
 }
 
 }  // namespace

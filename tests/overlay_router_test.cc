@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "net/scale_topology.h"
 #include "overlay/link_state.h"
 #include "overlay/neighbors.h"
+#include "snapshot/codec.h"
 
 namespace ronpath {
 namespace {
@@ -191,7 +194,7 @@ TEST(Router, LiveIntermediatesExcludesEndpointsAndDown) {
   const Topology topo = scale_topology({.nodes = 60, .seed = 7});
   const NeighborSet g = NeighborSet::build(topo, 3, 2);
   ASSERT_FALSE(g.full());
-  LinkStateTable capped(g.size(), &g);
+  LinkStateTable capped(g);
   for (NodeId a = 0; a < g.size(); ++a) {
     for (const NodeId b : g.neighbors(a)) capped.publish(a, b, metrics(0.0, Duration::millis(10)));
   }
@@ -279,6 +282,53 @@ TEST(LinkStateTable, PublishAndGet) {
   EXPECT_DOUBLE_EQ(t.get(0, 1).loss, 0.25);
   EXPECT_EQ(t.get(0, 1).latency, Duration::millis(99));
   EXPECT_DOUBLE_EQ(t.get(1, 0).loss, 0.0);  // reverse untouched
+
+  // Full meshes: a distinct loss on every directed pair must come back by
+  // pair, by edge rank, in a-major storage order and through a
+  // save/restore round trip, with the full-mesh ranks computed
+  // arithmetically agreeing with the CSR rows.
+  for (const std::size_t n : {1u, 2u, 3u, 12u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    LinkStateTable full(n);
+    const NeighborSet& g = full.neighbors();
+    const auto loss_of = [n](NodeId a, NodeId b) {
+      return static_cast<double>(a * n + b + 1) / static_cast<double>(n * n + 1);
+    };
+    std::vector<std::pair<NodeId, NodeId>> pairs;  // a-major
+    for (NodeId a = 0; a < n; ++a) {
+      for (NodeId b = 0; b < n; ++b) {
+        if (a != b) pairs.emplace_back(a, b);
+      }
+    }
+    for (const auto& [a, b] : pairs) full.publish(a, b, metrics(loss_of(a, b), Duration::millis(7)));
+
+    for (const auto& [a, b] : pairs) {
+      const std::size_t e = g.edge_index(a, b);
+      EXPECT_EQ(g.neighbors(a)[e - g.row_begin(a)], b) << a << "->" << b;
+      EXPECT_EQ(g.reverse_edge(e), g.edge_index(b, a)) << a << "->" << b;
+      EXPECT_EQ(full.get(a, b).loss, loss_of(a, b)) << a << "->" << b;
+      EXPECT_EQ(full.at_edge(e).loss, loss_of(a, b)) << a << "->" << b;
+    }
+    for (NodeId a = 0; a < n; ++a) EXPECT_EQ(&full.get(a, a), &LinkStateTable::pristine());
+
+    std::vector<std::pair<NodeId, NodeId>> visited;
+    full.for_each_entry([&](NodeId a, NodeId b, const LinkMetrics& m) {
+      visited.emplace_back(a, b);
+      EXPECT_EQ(m.loss, loss_of(a, b)) << a << "->" << b;
+    });
+    EXPECT_EQ(visited, pairs);
+
+    snap::Encoder enc;
+    full.save_state(enc);
+    LinkStateTable restored(n);
+    snap::Decoder dec(enc.bytes());
+    restored.restore_state(dec);
+    EXPECT_NO_THROW(dec.expect_done());
+    for (const auto& [a, b] : pairs) {
+      EXPECT_EQ(restored.get(a, b).loss, loss_of(a, b)) << a << "->" << b;
+      EXPECT_EQ(restored.get(a, b).latency, Duration::millis(7)) << a << "->" << b;
+    }
+  }
 }
 
 }  // namespace

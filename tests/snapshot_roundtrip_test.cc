@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -428,6 +429,63 @@ TEST(SnapshotRouter, HolddownAndIncumbentsRoundTrip) {
     EXPECT_EQ(a.path.via, b.path.via) << "round " << round;
     EXPECT_EQ(a.loss, b.loss) << "round " << round;
     EXPECT_EQ(control.loss_switches(1), restored.loss_switches(1)) << "round " << round;
+  }
+}
+
+// A snapshot comes from disk and its CRC is not a MAC, so restore_state
+// must reject every incumbent check_invariants would call malformed:
+// otherwise the next route query reads link state out of bounds.
+TEST(SnapshotRouter, MalformedIncumbentIsRejected) {
+  const std::size_t n = 4;
+  const NodeId self = 3;
+  LinkStateTable table(n);
+  // A ROUT section with one destination state (key 1) whose loss
+  // incumbent has the given fields, no latency incumbent, no hold-downs.
+  const auto encode = [](std::uint64_t src, std::uint64_t dst, std::uint64_t via,
+                         std::uint64_t via2) {
+    snap::Encoder e;
+    e.tag("ROUT");
+    e.u64(1);
+    e.u64(1);
+    e.b(true);
+    e.u64(src);
+    e.u64(dst);
+    e.u64(via);
+    e.u64(via2);
+    e.b(false);
+    e.i64(0);
+    e.i64(0);
+    e.u64(0);
+    return e.bytes();
+  };
+
+  {  // Control: a well-formed one-relay incumbent restores and routes.
+    Router r(self, table, RouterConfig{});
+    const std::vector<std::uint8_t> bytes = encode(self, 1, 2, kDirectVia);
+    snap::Decoder d(bytes);
+    ASSERT_NO_THROW(r.restore_state(d));
+    std::vector<std::string> violations;
+    r.check_invariants(TimePoint::epoch(), violations);
+    EXPECT_TRUE(violations.empty()) << violations.front();
+    EXPECT_NO_THROW((void)r.best_loss_path(1));
+  }
+
+  struct Case {
+    const char* what;
+    std::uint64_t src, dst, via, via2;
+  };
+  const Case cases[] = {
+      {"via = n", self, 1, n, kDirectVia},
+      {"via2 = n", self, 1, 2, n},
+      {"src != self", 0, 1, 2, kDirectVia},
+      {"dst != key", self, 2, 0, kDirectVia},
+      {"via = 65538, node 2 once narrowed", self, 1, 65538, kDirectVia},
+  };
+  for (const Case& c : cases) {
+    Router r(self, table, RouterConfig{});
+    const std::vector<std::uint8_t> bytes = encode(c.src, c.dst, c.via, c.via2);
+    snap::Decoder d(bytes);
+    EXPECT_THROW(r.restore_state(d), snap::SnapshotError) << c.what;
   }
 }
 
