@@ -16,10 +16,10 @@
 //                must stay flat (within 2x) from 30 to 3000 nodes —
 //                the bench exits 1 when it does not;
 //   memory     : OverlayNetwork::state_bytes() (resident overlay state,
-//                O(n*fanout)), materialized underlay components (lazy
-//                mode at 1000+ nodes), and the process VmHWM peak RSS
-//                read from /proc/self/status (cumulative across tiers;
-//                0 off Linux).
+//                O(n*fanout)), underlay components built (those some
+//                packet traversed) out of the n*(n-1)+4n total, and the
+//                process VmHWM peak RSS read from /proc/self/status
+//                (cumulative across tiers; 0 off Linux).
 //
 // The 30-node tier doubles as the correctness anchor: the same cell is
 // re-run with the legacy full-mesh overlay (fanout 0) and with
@@ -33,7 +33,9 @@
 // BENCH_scale.json); --compare reads the committed trajectory and exits
 // 1 when packets/sec or events/sec of any tier measured this run
 // regressed by more than --max-regress x against the LAST entry (tiers
-// absent on either side are skipped).
+// absent on either side are skipped). A default-shaped run (not --quick,
+// seed 42, the entry's fanout and landmarks) also exits 1 with CHECKSUM
+// DRIFT when a tier's report checksum differs from the entry's.
 //
 // Usage:
 //   bench_scale [--nodes N[,N...]] [--fanout K] [--landmarks L]
@@ -62,6 +64,9 @@
 
 namespace ronpath {
 namespace {
+
+// The seed every committed BENCH_scale.json entry ran with.
+constexpr std::uint64_t kDefaultSeed = 42;
 
 double now_seconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
@@ -147,7 +152,6 @@ struct TierResult {
   std::size_t materialized = 0;
   std::size_t components = 0;
   std::int64_t vm_hwm_kb = 0;
-  bool lazy = false;
   FaultCell cell;
   std::uint64_t report_checksum = 0;
 };
@@ -159,7 +163,6 @@ FaultMatrixConfig tier_config(std::size_t nodes, std::size_t fanout, std::size_t
   cfg.synth_nodes = nodes;
   cfg.overlay_fanout = std::min(fanout, nodes - 1);
   cfg.overlay_landmarks = std::min(landmarks, nodes);
-  cfg.lazy_underlay = nodes >= 1000;  // eager construction is the 1k+ memory wall
   if (quick) cfg.measured = Duration::minutes(10);
   return cfg;
 }
@@ -170,7 +173,6 @@ FaultMatrixConfig tier_config(std::size_t nodes, std::size_t fanout, std::size_t
 TierResult run_tier(const Scenario& scenario, const FaultMatrixConfig& cfg) {
   TierResult r;
   r.nodes = cfg.synth_nodes;
-  r.lazy = cfg.lazy_underlay;
 
   const double t0 = now_seconds();
   SimWorld world(scenario, FaultScheme::kHybrid, cfg, cfg.seed);
@@ -259,8 +261,11 @@ void emit_json(std::FILE* f, const std::vector<TierResult>& tiers, const std::st
   std::fprintf(f, "\n}\n");
 }
 
+// `default_shape`: the run used the committed entries' seed and
+// duration (seed 42, not --quick), so its checksums are comparable.
 int compare_against(const char* path, const std::vector<TierResult>& tiers,
-                    double max_regress) {
+                    double max_regress, bool default_shape, std::size_t fanout,
+                    std::size_t landmarks) {
   const std::optional<std::string> text = traj::read_file(path);
   if (!text) {
     std::fprintf(stderr, "--compare: cannot read %s\n", path);
@@ -296,6 +301,20 @@ int compare_against(const char* path, const std::vector<TierResult>& tiers,
       }
     }
   }
+
+  // The report checksums pin what is simulated, not how fast, so they
+  // are compared only against a baseline that ran the same cells.
+  const bool same_shape = default_shape &&
+                          traj::number_field(entry, "fanout") == static_cast<double>(fanout) &&
+                          traj::number_field(entry, "landmarks") == static_cast<double>(landmarks);
+  for (const TierResult& t : tiers) {
+    const std::string key = "report_checksum_" + std::to_string(t.nodes);
+    // Tiers absent in the baseline are skipped.
+    if (same_shape && traj::has_field(entry, key) &&
+        !traj::checksum_matches(entry, key, t.report_checksum)) {
+      rc = 1;
+    }
+  }
   return rc;
 }
 
@@ -303,7 +322,7 @@ int run(int argc, char** argv) {
   std::vector<std::size_t> tiers;
   std::size_t fanout = 16;
   std::size_t landmarks = 8;
-  std::uint64_t seed = 42;
+  std::uint64_t seed = kDefaultSeed;
   int reps = 1;
   bool quick = false;
   bool anchor = true;
@@ -394,11 +413,11 @@ int run(int argc, char** argv) {
       }
     }
     std::printf("%5zu nodes: %7.2fs wall, %10.1f pkt/s, %10.1f ev/s, "
-                "%7.2f control B/s/node, %zu KiB overlay state, %zu/%zu components%s, "
+                "%7.2f control B/s/node, %zu KiB overlay state, %zu/%zu components, "
                 "loss(fault) %.2f%%, failover %.2fs, checksum %016llx\n",
                 n, best.wall_s, best.packets_per_sec, best.events_per_sec,
                 best.control_bps_per_node, best.state_bytes / 1024, best.materialized,
-                best.components, best.lazy ? " (lazy)" : "", best.cell.loss_fault_pct,
+                best.components, best.cell.loss_fault_pct,
                 best.cell.failover_s, static_cast<unsigned long long>(best.report_checksum));
     results.push_back(best);
   }
@@ -433,7 +452,10 @@ int run(int argc, char** argv) {
     emit_json(stdout, results, label, fanout, landmarks, anchored);
   }
 
-  if (compare_path) return compare_against(compare_path, results, max_regress);
+  if (compare_path) {
+    return compare_against(compare_path, results, max_regress, !quick && seed == kDefaultSeed,
+                           fanout, landmarks);
+  }
   return 0;
 }
 

@@ -111,21 +111,8 @@ int compare_against(const char* path, const Result& r, double max_regress) {
   const bool same_shape =
       traj::number_field(entry, "quick") == (r.quick ? 1.0 : 0.0) &&
       static_cast<std::int64_t>(traj::number_field(entry, "packets")) == r.packets;
-  if (same_shape) {
-    char measured_hex[32];
-    std::snprintf(measured_hex, sizeof(measured_hex), "%016llx",
-                  static_cast<unsigned long long>(r.report_checksum));
-    const std::string needle = std::string("\"report_checksum\": \"") + measured_hex + "\"";
-    if (entry.find(needle) == std::string::npos) {
-      std::fprintf(stderr,
-                   "CHECKSUM DRIFT: measured report checksum %s does not match the committed "
-                   "baseline — simulation behaviour changed\n",
-                   measured_hex);
-      rc = 1;
-    } else {
-      std::printf("compare %-16s %s (matches committed baseline)\n", "report_checksum",
-                  measured_hex);
-    }
+  if (same_shape && !traj::checksum_matches(entry, "report_checksum", r.report_checksum)) {
+    rc = 1;
   }
   return rc;
 }

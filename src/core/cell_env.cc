@@ -39,7 +39,6 @@ CellEnv::CellEnv(const Scenario& scenario, HybridMode mode, const FaultMatrixCon
   // Only the scripted fault may perturb the run: organic incidents and
   // host failures would smear the failover/recovery measurements.
   net_cfg.incidents.clear();
-  net_cfg.lazy_components = cfg.lazy_underlay;
 
   std::string parse_error;
   const auto schedule = FaultSchedule::parse(scenario.dsl, &parse_error);

@@ -51,7 +51,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   if (cfg.provider_cross_fraction) {
     net_cfg.provider_events.cross_fraction = *cfg.provider_cross_fraction;
   }
-  net_cfg.lazy_components = cfg.lazy_underlay;
 
   Rng rng(cfg.seed);
   Scheduler sched;

@@ -77,9 +77,6 @@ struct ExperimentConfig {
   // announcements, landmark alternates). 0 keeps the full mesh.
   std::size_t overlay_fanout = 0;
   std::size_t overlay_landmarks = 8;
-  // Materialize underlay core components on first traversal (required
-  // headroom at 1000+ nodes).
-  bool lazy_underlay = false;
 };
 
 struct ExperimentResult {

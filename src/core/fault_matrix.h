@@ -68,8 +68,6 @@ struct FaultMatrixConfig {
   // announcements + landmarks); 0 keeps the full mesh.
   std::size_t overlay_fanout = 0;
   std::size_t overlay_landmarks = 8;
-  // Materialize underlay cores on first traversal (scale runs only).
-  bool lazy_underlay = false;
 };
 
 // One (scenario, scheme) cell from a single trial.

@@ -25,6 +25,10 @@
 // core segments. The 2003 and 2002 profiles are calibrated so that a
 // RON2003/RONwide run reproduces Table 5's headline numbers; see
 // EXPERIMENTS.md for paper-vs-measured values.
+//
+// Network (network.h) resolves a component's parameters when a packet
+// first traverses it. Every per-component draw is keyed by component
+// index, so no parameter depends on which components were built first.
 
 #ifndef RONPATH_NET_CONFIG_H_
 #define RONPATH_NET_CONFIG_H_
@@ -181,14 +185,6 @@ struct NetConfig {
   Duration forward_delay = Duration::micros(300);
   // Scheduled incidents (latency pathologies, loss storms).
   std::vector<Incident> incidents;
-
-  // Materialize core (pair) components on first traversal instead of
-  // eagerly. The n*(n-1) core grid dominates construction time and
-  // memory at 1000+ nodes, while a capped overlay only ever touches the
-  // O(n * fanout) pairs it probes or routes through. Identical draws and
-  // timelines for every component that is touched (construction forks
-  // are keyed, not sequenced).
-  bool lazy_components = false;
 
   // Resolved parameters for a component of the given topology (applies
   // class tables, up/down asymmetry, intl/Korea factors and loss_scale).

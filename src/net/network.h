@@ -9,6 +9,12 @@
 // mechanism behind the paper's correlated-loss findings - while spacing
 // packets in time (dd 10 ms / dd 20 ms) or routing the second copy around
 // a component de-correlates them exactly as in Section 4.4.
+//
+// Components, site and core alike, are built on their first traversal
+// from construction forks keyed by component index, so the result never
+// depends on build order. A capped overlay touches a small fraction of
+// the n*(n-1) core grid and pays only for that fraction; the table of
+// not-yet-built components costs one pointer per component id.
 
 #ifndef RONPATH_NET_NETWORK_H_
 #define RONPATH_NET_NETWORK_H_
@@ -17,7 +23,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "net/config.h"
@@ -98,7 +103,8 @@ class Network {
   // latency-model sanity checks.
   [[nodiscard]] Duration base_latency(const PathSpec& path) const;
 
-  // Routing stretch factor applied to the core segment src->dst.
+  // Routing stretch factor applied to the core segment src->dst; a pure
+  // function of the segment's keyed fork.
   [[nodiscard]] double core_stretch(NodeId src, NodeId dst) const;
 
   // Aggregate drop statistics since construction.
@@ -109,26 +115,26 @@ class Network {
     std::int64_t dropped_burst = 0;
     std::int64_t dropped_outage = 0;
     std::int64_t dropped_injected = 0;
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
-  // Test hook: the process driving a component's loss state (materializes
-  // it first under lazy_components).
+  // Test hook: the process driving a component's loss state (built first
+  // if no packet has traversed it yet).
   [[nodiscard]] ComponentProcess& component(std::size_t index) {
-    return component_at(index);
+    return component_at(index).proc;
   }
-  [[nodiscard]] std::size_t component_count() const { return topo_.component_count(); }
-  // Lazy-components mode: cores materialized so far (== component_count()
-  // minus never-traversed cores; everything in eager mode).
-  [[nodiscard]] std::size_t materialized_components() const {
-    return components_.size() + cores_.size();
-  }
-  [[nodiscard]] bool lazy_components() const { return lazy_ != nullptr; }
+  [[nodiscard]] std::size_t component_count() const { return components_.size(); }
+  // Components built so far: those some packet (or the test hook) has
+  // traversed, a small fraction of the n*(n-1) core grid on a capped
+  // overlay.
+  [[nodiscard]] std::size_t materialized_components() const { return built_; }
 
-  // Snapshot support: serializes the mutable state (per-component
-  // timelines, packet Rng, drop statistics, monotonicity watermark).
-  // Everything else is derived from the ctor arguments, so restore_state
-  // expects a Network constructed identically.
+  // Snapshot support: serializes the mutable state (the built
+  // components' timelines, packet Rng, drop statistics, monotonicity
+  // watermark). Everything else is derived from the ctor arguments, so
+  // restore_state expects a Network constructed identically.
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 
@@ -142,64 +148,51 @@ class Network {
     TimePoint end;
     Duration added;
   };
-
-  // Per-component constants read on every hop, precomputed once so the
-  // packet loop never recomputes great-circle trig, stretch lookups, or
-  // log(jitter_median). Values are bit-identical to evaluating the source
-  // expressions in place.
-  struct HopMeta {
-    Duration fixed_delay;
-    Duration stretched_prop;  // core only: propagation * stretch, resolved
-    double ln_jitter_median = 0.0;
-    double jitter_sigma = 0.0;
-    bool is_core = false;
-    bool has_additions = false;
-  };
-
-  // Lazy-components machinery (config_.lazy_components): site components
-  // stay eager in components_; core (pair) components materialize on
-  // first touch from keyed construction forks, so the untouched bulk of
-  // the n*(n-1) grid costs nothing. Construction of a touched core is
-  // bit-identical to the eager ctor's.
   struct SiteEvent {
     TimePoint start;
     TimePoint end;
     std::uint64_t seq;
   };
-  struct LazyCtx {
-    Rng quality_rng;     // fork("core-quality")
-    Rng stretch_rng;     // fork("core-stretch")
-    Rng hit_root;        // fork("event-hits")
-    Rng component_root;  // fork("component")
-    std::vector<std::vector<SiteEvent>> site_events;
-  };
-  struct CoreState {
+
+  // One underlay component: its loss process plus the constants read on
+  // every hop, resolved once at construction so the packet loop never
+  // recomputes great-circle trig, stretch draws or log(jitter_median).
+  // Values are bit-identical to evaluating the source expressions in
+  // place. The constants come first, in the record's first cache line.
+  struct Component {
+    Duration fixed_delay;
+    Duration stretched_prop;  // core: propagation * stretch; site: zero
+    double ln_jitter_median = 0.0;
+    double jitter_sigma = 0.0;
+    std::vector<LatencyAddition> additions;  // incident latency windows
     ComponentProcess proc;
-    HopMeta meta;
-    std::vector<LatencyAddition> additions;
   };
 
-  // Materializes (if needed) and returns the lazy core state for a core
-  // component index. Pre: lazy mode and index >= site component count.
-  [[nodiscard]] CoreState& core_at(std::size_t component);
-  [[nodiscard]] ComponentProcess& component_at(std::size_t component);
-  [[nodiscard]] const HopMeta& hop_meta_at(std::size_t component);
-  [[nodiscard]] const std::vector<LatencyAddition>& additions_at(std::size_t component);
+  // Returns component `ci`, building it on first use.
+  [[nodiscard]] Component& component_at(std::size_t ci) {
+    std::unique_ptr<Component>& slot = components_[ci];
+    if (!slot) [[unlikely]] build(ci);
+    return *slot;
+  }
+  // Builds component `ci` from its keyed construction forks. Every draw
+  // is keyed by component index, so the result does not depend on which
+  // components were built before it or when.
+  void build(std::size_t ci);
 
-  [[nodiscard]] Duration hop_delay(std::size_t component, const ComponentSample& s,
-                                   TimePoint t);
+  [[nodiscard]] Duration hop_delay(const Component& c, const ComponentSample& s, TimePoint t);
 
   Topology topo_;
   NetConfig config_;
-  // Eager mode: every component, indexed by component id. Lazy mode:
-  // site components only; cores live in cores_.
-  std::vector<ComponentProcess> components_;
-  std::vector<HopMeta> hop_meta_;
-  std::vector<std::vector<LatencyAddition>> latency_additions_;
-  std::vector<double> core_stretch_;  // eager mode only; lazy recomputes
-  std::unique_ptr<LazyCtx> lazy_;    // non-null => lazy core materialization
-  std::unordered_map<std::size_t, CoreState> cores_;  // lazy mode only
-  std::size_t site_comp_count_ = 0;  // kSiteCompCount * n
+  // Keyed construction forks and the pregenerated provider events that
+  // build() reads.
+  Rng quality_rng_;     // fork("core-quality")
+  Rng stretch_rng_;     // fork("core-stretch")
+  Rng hit_root_;        // fork("event-hits")
+  Rng component_root_;  // fork("component")
+  std::vector<std::vector<SiteEvent>> site_events_;
+  // Indexed by component id; null until first traversal.
+  std::vector<std::unique_ptr<Component>> components_;
+  std::size_t built_ = 0;  // non-null entries of components_
   Rng pkt_rng_;
   Stats stats_;
   const FaultHook* fault_ = nullptr;

@@ -106,11 +106,7 @@ std::uint64_t SimWorld::fingerprint() const {
   h = fnv1a_u64(cfg_.graceful_degradation ? 1 : 0, h);
   h = fnv1a_u64(static_cast<std::uint64_t>(fault_start_.since_epoch().count_nanos()), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(fault_duration_.count_nanos()), h);
-  // Scaling knobs (DESIGN.md §14). lazy_underlay is deliberately NOT
-  // hashed: materialization order never changes the simulation, so a
-  // lazy snapshot may not restore into an eager world — but that is a
-  // format property and Network::restore_state rejects it with a
-  // specific diagnostic.
+  // Scaling knobs (DESIGN.md §14).
   h = fnv1a_u64(cfg_.synth_nodes, h);
   h = fnv1a_u64(cfg_.overlay_fanout, h);
   h = fnv1a_u64(cfg_.overlay_landmarks, h);

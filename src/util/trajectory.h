@@ -14,6 +14,8 @@
 #ifndef RONPATH_UTIL_TRAJECTORY_H_
 #define RONPATH_UTIL_TRAJECTORY_H_
 
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -84,6 +86,24 @@ inline double number_field(const std::string& entry, const std::string& key,
 // True when the entry carries the key at all (regardless of value).
 inline bool has_field(const std::string& entry, const std::string& key) {
   return entry.find("\"" + key + "\":") != std::string::npos;
+}
+
+// Compares a measured checksum with the entry's `"key": "%016x"` field
+// (the emitters' spelling). Prints the match, or a CHECKSUM DRIFT
+// diagnostic to stderr; returns whether they match.
+inline bool checksum_matches(const std::string& entry, const std::string& key,
+                             std::uint64_t measured) {
+  char hex[32];
+  std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(measured));
+  if (entry.find("\"" + key + "\": \"" + hex + "\"") != std::string::npos) {
+    std::printf("compare %-24s %s (matches committed baseline)\n", key.c_str(), hex);
+    return true;
+  }
+  std::fprintf(stderr,
+               "CHECKSUM DRIFT: %s is %s, not the committed baseline's — simulation "
+               "behaviour changed\n",
+               key.c_str(), hex);
+  return false;
 }
 
 }  // namespace ronpath::traj

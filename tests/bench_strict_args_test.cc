@@ -7,8 +7,8 @@
 // a silent strtod 0.0 that turned a typo into an always-failing or
 // disabled CI gate). The contract is a hard exit 2 before any work runs.
 //
-// The benches are spawned as real subprocesses, located relative to
-// this test binary (build/tests/.. -> build/bench).
+// The benches (and tools/soak) are spawned as real subprocesses,
+// located relative to this test binary (build/tests/.. -> build/bench).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +20,7 @@
 
 namespace {
 
-std::string bench_dir() {
+std::string build_dir() {
   char buf[4096];
   const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
   if (n <= 0) return {};
@@ -31,7 +31,7 @@ std::string bench_dir() {
   path.resize(slash);                      // .../build/tests
   const std::size_t parent = path.rfind('/');
   if (parent == std::string::npos) return {};
-  return path.substr(0, parent) + "/bench";  // .../build/bench
+  return path.substr(0, parent);  // .../build
 }
 
 bool exists(const std::string& path) {
@@ -48,8 +48,9 @@ int run_bench(const std::string& exe, const std::string& args) {
   return WEXITSTATUS(rc);
 }
 
+// `name` is relative to the build tree's bench/ directory.
 void expect_rejects(const std::string& name, const std::string& args) {
-  const std::string exe = bench_dir() + "/" + name;
+  const std::string exe = build_dir() + "/bench/" + name;
   ASSERT_TRUE(exists(exe)) << exe << " not built; build all targets before running ctest";
   EXPECT_EQ(run_bench(exe, args), 2) << name << " " << args << ": expected exit 2";
 }
@@ -108,6 +109,31 @@ TEST(BenchStrictArgs, UnknownFlagExitsTwo) {
   expect_rejects("bench_fig6_design_space", "--trials 3 --jobs 2");
   expect_rejects("bench_table3_datasets", "--csv /dev/null");
   expect_rejects("bench_fault_matrix", "--hours 3");
+}
+
+// soak runs one of two worlds; a flag only the other world reads must
+// exit 2 instead of being silently ignored (a --workload run given
+// --synth-nodes 300 used to soak the 12-node testbed and exit 0).
+TEST(BenchStrictArgs, SoakRejectsFlagsItsModeIgnores) {
+  const std::string exe = build_dir() + "/tools/soak";
+  ASSERT_TRUE(exists(exe)) << exe << " not built; build all targets before running ctest";
+  const char* cases[] = {
+      "--workload --scenario link-flap --policy adaptive --synth-nodes 300 --fanout 16 "
+      "--scheme mesh --hours 5 --send-interval-ms 7",
+      "--workload --scheme mesh",
+      "--workload --nodes 8",
+      "--workload --hours 5",
+      "--workload --send-interval-ms 7",
+      "--workload --synth-nodes 300",
+      "--workload --fanout 16",
+      "--workload --landmarks 4",
+      "--scenario link-flap --policy static-2x",
+      "--lazy",  // retired: every underlay component is built on first use
+  };
+  for (const char* args : cases) {
+    EXPECT_EQ(run_bench(exe, std::string("--quick ") + args), 2)
+        << "soak --quick " << args << ": expected exit 2";
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/testbed.h"
 #include "util/rng.h"
 
@@ -107,6 +109,55 @@ TEST(Network, DeterministicAcrossInstances) {
       EXPECT_EQ(r1.latency, r2.latency);
     }
   }
+}
+
+// Components are built on first traversal from forks keyed by component
+// index, so building every one of them up front, in reverse order,
+// changes no draw any packet sees.
+TEST(Network, BuildOrderDoesNotChangeDraws) {
+  Network fresh = make_net();
+  ASSERT_EQ(fresh.materialized_components(), 0u);
+  const auto first = fresh.transmit(PathSpec{0, 1, kDirectVia},
+                                    TimePoint::epoch() + Duration::seconds(1));
+  ASSERT_TRUE(first.delivered);
+  // Access up, provider egress, core, provider ingress, access down.
+  EXPECT_EQ(fresh.materialized_components(), 5u);
+
+  Network prebuilt = make_net();
+  Network on_demand = make_net();
+  for (std::size_t ci = prebuilt.component_count(); ci-- > 0;) (void)prebuilt.component(ci);
+  ASSERT_EQ(prebuilt.materialized_components(), prebuilt.component_count());
+
+  std::set<std::size_t> reached;
+  Rng rng(13);
+  for (int i = 0; i < 400; ++i) {
+    const NodeId a = static_cast<NodeId>(rng.next_below(30));
+    NodeId b = a;
+    while (b == a) b = static_cast<NodeId>(rng.next_below(30));
+    PathSpec path{a, b, kDirectVia};
+    if (i % 3 == 0) {  // every third packet rides a one-relay alternate
+      NodeId via = a;
+      while (via == a || via == b) via = static_cast<NodeId>(rng.next_below(30));
+      path.via = via;
+    }
+    const TimePoint t = TimePoint::epoch() + Duration::millis(i * 7);
+    const auto r1 = prebuilt.transmit(path, t);
+    const auto r2 = on_demand.transmit(path, t);
+    ASSERT_EQ(r1.delivered, r2.delivered) << "packet " << i;
+    ASSERT_EQ(r1.cause, r2.cause) << "packet " << i;
+    ASSERT_EQ(r1.latency, r2.latency) << "packet " << i;
+    // A drop ends the packet's walk at the dropping component.
+    for (const auto& hop : on_demand.topology().hops(path)) {
+      reached.insert(hop.component);
+      if (r2.lost() && hop.component == r2.drop_component) break;
+    }
+  }
+  EXPECT_TRUE(prebuilt.stats() == on_demand.stats());
+  // The stream saw drops, so some walks ended early.
+  EXPECT_LT(on_demand.stats().delivered, on_demand.stats().transmitted);
+  EXPECT_EQ(on_demand.materialized_components(), reached.size());
+  EXPECT_LT(on_demand.materialized_components(), on_demand.component_count());
+  EXPECT_EQ(prebuilt.materialized_components(), prebuilt.component_count());
 }
 
 // Back-to-back packets share burst fate: conditional loss far above the

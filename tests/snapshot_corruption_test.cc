@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "core/fault_matrix.h"
+#include "core/testbed.h"
 #include "fault/scenarios.h"
+#include "net/network.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/world.h"
@@ -215,6 +218,77 @@ TEST(SnapshotCorruption, CrossWorldRestoreIsBlocked) {
 
   SimWorld reseeded(scenario(), FaultScheme::kReactive, small_config(), 43);
   EXPECT_NE(reseeded.fingerprint(), entry.fingerprint);
+}
+
+// The NETW section lists the built underlay components as ascending
+// (index, state) pairs. Hand-encoded lists exercise the only check left
+// in that section: a malformed list must throw, never build out of range
+// or out of order.
+Network netw_network() {
+  return Network(testbed_2003(), NetConfig::profile_2003(), Duration::hours(1), Rng(5));
+}
+
+// Encodes a NETW section declaring `declared` entries and listing
+// `indices`, each followed by a freshly built component's state;
+// `trailer` appends the packet Rng, drop statistics and watermark.
+std::vector<std::uint8_t> netw_payload(const std::vector<std::uint64_t>& indices,
+                                       std::uint64_t declared, bool trailer = true) {
+  Network donor = netw_network();
+  snap::Encoder e;
+  e.tag("NETW");
+  e.u64(declared);
+  for (const std::uint64_t ci : indices) {
+    e.u64(ci);
+    donor.component(std::min<std::uint64_t>(ci, donor.component_count() - 1)).save_state(e);
+  }
+  if (trailer) {
+    snap::save_rng(e, Rng(9));
+    for (int i = 0; i < 6; ++i) e.i64(0);
+    e.time(TimePoint::epoch());
+  }
+  return e.bytes();
+}
+
+// Restores `payload` into a fresh network; returns the SnapshotError
+// message, or an empty string when the payload restored.
+std::string netw_error(const std::vector<std::uint8_t>& payload) {
+  Network net = netw_network();
+  snap::Decoder d(payload);
+  try {
+    net.restore_state(d);
+  } catch (const snap::SnapshotError& err) {
+    return err.what();
+  }
+  return {};
+}
+
+TEST(SnapshotCorruption, WellFormedComponentListRestores) {
+  Network net = netw_network();
+  const std::vector<std::uint8_t> payload = netw_payload({0, 7, 500}, 3);
+  snap::Decoder d(payload);
+  ASSERT_NO_THROW(net.restore_state(d));
+  EXPECT_TRUE(d.done());
+  EXPECT_EQ(net.materialized_components(), 3u);
+}
+
+TEST(SnapshotCorruption, MalformedComponentListIsRejected) {
+  const std::uint64_t count = netw_network().component_count();
+  const std::vector<std::vector<std::uint64_t>> bad_lists = {
+      {7, 0},      // unsorted
+      {7, 7},      // repeated index
+      {0, count},  // index past the last component
+  };
+  for (const auto& list : bad_lists) {
+    const std::string err = netw_error(netw_payload(list, list.size()));
+    EXPECT_NE(err.find("corrupt or unsorted"), std::string::npos)
+        << "list " << list[0] << "," << list[1] << ": " << err;
+  }
+  // More entries declared than the payload holds: one past the end of a
+  // bare list, and a count no payload of this size could carry.
+  const std::string one_more = netw_error(netw_payload({0, 7}, 3, false));
+  EXPECT_NE(one_more.find("truncated"), std::string::npos) << one_more;
+  const std::string absurd = netw_error(netw_payload({0, 7}, std::uint64_t{1} << 40));
+  EXPECT_NE(absurd.find("exceeds remaining payload"), std::string::npos) << absurd;
 }
 
 TEST(SnapshotFiles, WriteReadRoundTrip) {

@@ -1,7 +1,6 @@
-// Snapshot/restore at scaling-tier sizes: a 300-node capped SimWorld
-// checkpointed mid-run must restore to a byte-identical finish, the
-// lazy-underlay materialized-core list must round-trip, and a lazy
-// snapshot must refuse to restore into an eager world.
+// Snapshot/restore at scaling-tier sizes: a capped SimWorld
+// checkpointed mid-run must restore to a byte-identical finish, which
+// needs the list of built underlay components to round-trip.
 
 #include <gtest/gtest.h>
 
@@ -22,12 +21,11 @@ const Scenario& link_flap() {
   return *s;
 }
 
-FaultMatrixConfig scale_cfg(std::size_t nodes, std::size_t fanout, bool lazy) {
+FaultMatrixConfig scale_cfg(std::size_t nodes, std::size_t fanout) {
   FaultMatrixConfig cfg;
   cfg.synth_nodes = nodes;
   cfg.overlay_fanout = fanout;
   cfg.overlay_landmarks = 8;
-  cfg.lazy_underlay = lazy;
   return cfg;
 }
 
@@ -49,51 +47,19 @@ std::pair<std::string, std::string> checkpoint_roundtrip(const FaultMatrixConfig
 }
 
 TEST(SnapshotScale, Capped300NodeRestoreIsByteIdentical) {
-  const auto [uninterrupted, restored] = checkpoint_roundtrip(scale_cfg(300, 16, false));
+  const auto [uninterrupted, restored] = checkpoint_roundtrip(scale_cfg(300, 16));
   EXPECT_EQ(uninterrupted, restored);
 }
 
 TEST(SnapshotScale, LazyUnderlayRestoreIsByteIdentical) {
-  // Lazy mode serializes only the materialized cores; the restored twin
-  // must rebuild exactly that set and then finish bit-for-bit.
-  const auto [uninterrupted, restored] = checkpoint_roundtrip(scale_cfg(120, 10, true));
+  // The snapshot lists only the components built so far; the restored
+  // twin must rebuild exactly that set and then finish bit-for-bit.
+  const auto [uninterrupted, restored] = checkpoint_roundtrip(scale_cfg(120, 10));
   EXPECT_EQ(uninterrupted, restored);
 }
 
-TEST(SnapshotScale, LazyAndEagerRunsAgree) {
-  // Materialization is an implementation detail: the same cell run
-  // lazily and eagerly produces the same report.
-  FaultMatrixConfig eager = scale_cfg(60, 8, false);
-  FaultMatrixConfig lazy = scale_cfg(60, 8, true);
-  SimWorld a(link_flap(), FaultScheme::kHybrid, eager, eager.seed);
-  a.run_to_end();
-  SimWorld b(link_flap(), FaultScheme::kHybrid, lazy, lazy.seed);
-  b.run_to_end();
-  EXPECT_EQ(a.report(), b.report());
-  // The lazy run only touched a fraction of the component space.
-  EXPECT_LT(b.network().materialized_components(), b.network().component_count());
-  EXPECT_EQ(a.network().materialized_components(), a.network().component_count());
-}
-
-TEST(SnapshotScale, LazySnapshotRejectsEagerWorld) {
-  // The SimWorld fingerprint deliberately excludes lazy_underlay (the
-  // flag does not change simulated behaviour), so the mismatch must be
-  // caught by Network::restore_state's own diagnostic.
-  FaultMatrixConfig lazy = scale_cfg(60, 8, true);
-  SimWorld world(link_flap(), FaultScheme::kHybrid, lazy, lazy.seed);
-  world.advance_to(world.total_sends() / 4);
-  snap::Encoder e;
-  world.save_state(e);
-
-  FaultMatrixConfig eager = scale_cfg(60, 8, false);
-  SimWorld twin(link_flap(), FaultScheme::kHybrid, eager, eager.seed);
-  ASSERT_EQ(world.fingerprint(), twin.fingerprint());
-  snap::Decoder d(e.bytes());
-  EXPECT_THROW(twin.restore_state(d), snap::SnapshotError);
-}
-
 TEST(SnapshotScale, FingerprintSeparatesScaleConfigs) {
-  const FaultMatrixConfig base = scale_cfg(300, 16, false);
+  const FaultMatrixConfig base = scale_cfg(300, 16);
   SimWorld world(link_flap(), FaultScheme::kHybrid, base, base.seed);
 
   FaultMatrixConfig other = base;

@@ -59,6 +59,15 @@ TEST(Trajectory, EmptyAndTruncatedInputs) {
   EXPECT_EQ(traj::number_field(traj::last_entry(text), "x"), 1.0);
 }
 
+TEST(Trajectory, ChecksumMatchesOnlyTheLastEntrysExactValue) {
+  const std::string entry = traj::last_entry(R"([{"sum": "00000000000000ff"},
+    {"sum": "0000000000000abc", "other": "0000000000000abc1"}])");
+  EXPECT_TRUE(traj::checksum_matches(entry, "sum", 0xabc));
+  EXPECT_FALSE(traj::checksum_matches(entry, "sum", 0xff));  // older entry
+  EXPECT_FALSE(traj::checksum_matches(entry, "other", 0xabc));
+  EXPECT_FALSE(traj::checksum_matches(entry, "missing", 0xabc));
+}
+
 TEST(Trajectory, SingleEntryFile) {
   const std::string entry = traj::last_entry(R"({"only": 7.5})");
   EXPECT_EQ(traj::number_field(entry, "only"), 7.5);

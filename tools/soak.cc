@@ -11,7 +11,8 @@
 //
 // With --workload the same kill/restore loop drives a WorkloadWorld
 // (traffic-matrix flows + adaptive redundancy) instead of a SimWorld;
-// --policy picks the redundancy policy under test.
+// --policy picks the redundancy policy under test. Each mode rejects the
+// flags only the other one reads.
 //
 // Exit codes: 0 clean; 1 audit violation, report divergence or
 // snapshot I/O failure; 2 usage error.
@@ -20,6 +21,7 @@
 //        --checkpoint-every 1000 --kill-every 3 --snapshot-dir /tmp/s --verify
 //   soak --workload --scenario provider-blackout --policy adaptive --quick --verify
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +32,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/fault_matrix.h"
@@ -66,7 +69,6 @@ struct SoakOptions {
   std::size_t synth_nodes = 0;          // > 0: synthetic hierarchical topology
   std::size_t fanout = 0;               // > 0: bandwidth-capped overlay
   std::size_t landmarks = 8;
-  bool lazy = false;  // materialize underlay cores on demand
   bool audit = true;
   bool verify = false;
   bool workload = false;  // soak a WorkloadWorld instead of a SimWorld
@@ -77,12 +79,11 @@ struct SoakOptions {
 [[noreturn]] void usage(int code) {
   std::fprintf(
       code == 0 ? stdout : stderr,
-      "usage: soak [--scenario NAME|day-stream|FILE] [--scheme direct|reactive|mesh|hybrid]\n"
-      "            [--seed N] [--nodes N] [--hours H] [--send-interval-ms M]\n"
-      "            [--checkpoint-every SENDS] [--kill-every K] [--no-audit]\n"
-      "            [--synth-nodes N] [--fanout K] [--landmarks L] [--lazy]\n"
-      "            [--snapshot-dir DIR] [--verify] [--quick]\n"
-      "            [--workload] [--policy probe-only|static-2x|adaptive]\n");
+      "usage: soak [COMMON] [--scheme direct|reactive|mesh|hybrid] [--nodes N] [--hours H]\n"
+      "            [--send-interval-ms M] [--synth-nodes N] [--fanout K] [--landmarks L]\n"
+      "       soak --workload [COMMON] [--policy probe-only|static-2x|adaptive]\n"
+      "COMMON: [--scenario NAME|day-stream|FILE] [--seed N] [--checkpoint-every N]\n"
+      "        [--kill-every K] [--no-audit] [--snapshot-dir DIR] [--verify] [--quick]\n");
   std::exit(code);
 }
 
@@ -115,10 +116,22 @@ FaultScheme parse_scheme(const char* text) {
   std::exit(2);
 }
 
+// Flags only the SimWorld soak reads; --policy is the workload soak's.
+constexpr std::string_view kSimWorldFlags[] = {
+    "--scheme", "--nodes", "--hours", "--send-interval-ms", "--synth-nodes", "--fanout",
+    "--landmarks"};
+
 SoakOptions parse_args(int argc, char** argv) {
   SoakOptions opt;
+  std::string sim_world_flag;  // first SimWorld-only flag given
+  bool policy_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (sim_world_flag.empty() &&
+        std::find(std::begin(kSimWorldFlags), std::end(kSimWorldFlags), arg) !=
+            std::end(kSimWorldFlags)) {
+      sim_world_flag = arg;
+    }
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "missing value for %s\n", arg.c_str());
@@ -150,8 +163,6 @@ SoakOptions parse_args(int argc, char** argv) {
       opt.fanout = static_cast<std::size_t>(parse_int("--fanout", next(), 1, 65'534));
     } else if (arg == "--landmarks") {
       opt.landmarks = static_cast<std::size_t>(parse_int("--landmarks", next(), 0, 65'534));
-    } else if (arg == "--lazy") {
-      opt.lazy = true;
     } else if (arg == "--no-audit") {
       opt.audit = false;
     } else if (arg == "--snapshot-dir") {
@@ -162,6 +173,7 @@ SoakOptions parse_args(int argc, char** argv) {
       opt.workload = true;
     } else if (arg == "--policy") {
       opt.policy = parse_policy(next());
+      policy_given = true;
     } else if (arg == "--quick") {
       opt.measured = Duration::minutes(10);
       opt.send_interval = Duration::seconds(1);
@@ -172,6 +184,14 @@ SoakOptions parse_args(int argc, char** argv) {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       usage(2);
     }
+  }
+  if (opt.workload && !sim_world_flag.empty()) {
+    std::fprintf(stderr, "%s: not read by the --workload soak\n", sim_world_flag.c_str());
+    usage(2);
+  }
+  if (!opt.workload && policy_given) {
+    std::fprintf(stderr, "--policy: only read by the --workload soak\n");
+    usage(2);
   }
   return opt;
 }
@@ -332,7 +352,6 @@ int main(int argc, char** argv) {
   cfg.synth_nodes = opt.synth_nodes;
   cfg.overlay_fanout = opt.fanout;
   cfg.overlay_landmarks = opt.landmarks;
-  cfg.lazy_underlay = opt.lazy;
   std::string dsl_storage;
   const Scenario scenario = resolve_scenario(opt, cfg, dsl_storage);
 
