@@ -9,7 +9,6 @@
 // quantify why RON stopped at one.
 
 #include <iostream>
-#include <limits>
 
 #include "bench/bench_common.h"
 #include "core/testbed.h"
@@ -22,25 +21,16 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  int hours = 8;
-  std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--hours" && i + 1 < argc)
-      hours = static_cast<int>(bench::BenchArgs::parse_int("--hours", argv[++i], 1, 24 * 365));
-    if (a == "--seed" && i + 1 < argc)
-      seed = static_cast<std::uint64_t>(bench::BenchArgs::parse_int(
-          "--seed", argv[++i], 0, std::numeric_limits<std::int64_t>::max()));
-    if (a == "--quick") hours = 2;
-  }
+  const bench::BenchArgs args =
+      bench::BenchArgs::parse(argc, argv, Duration::hours(8), bench::kDuration);
 
   const Topology topo = testbed_2003();
-  Rng rng(seed);
+  Rng rng(args.seed);
   Scheduler sched;
   // Elevated loss so the comparison has signal.
   NetConfig cfg = NetConfig::profile_2003();
   cfg.loss_scale *= 6.0;
-  Network net(topo, cfg, Duration::hours(hours + 2), rng.fork("net"));
+  Network net(topo, cfg, args.duration + Duration::hours(2), rng.fork("net"));
   OverlayNetwork overlay(net, sched, OverlayConfig{}, rng.fork("overlay"));
   overlay.start();
   sched.run_until(TimePoint::epoch() + Duration::minutes(40));
@@ -53,8 +43,8 @@ int main(int argc, char** argv) {
   RunningStat one_lat;
   RunningStat two_lat;
 
-  Rng pick(seed + 1);
-  const TimePoint end = sched.now() + Duration::hours(hours);
+  Rng pick(args.seed + 1);
+  const TimePoint end = sched.now() + args.duration;
   for (TimePoint t = sched.now(); t < end; t += Duration::millis(40)) {
     sched.run_until(t);
     const NodeId src = static_cast<NodeId>(pick.next_below(topo.size()));

@@ -133,7 +133,10 @@ struct BenchArgs {
     cfg.graceful_degradation = true;
   }
 
-  static BenchArgs parse(int argc, char** argv, Duration default_duration, unsigned flags) {
+  // --quick sets the duration to `quick_duration`; a later --hours or
+  // --days overrides it.
+  static BenchArgs parse(int argc, char** argv, Duration default_duration, unsigned flags,
+                         Duration quick_duration = Duration::hours(2)) {
     BenchArgs a;
     a.duration = default_duration;
     for (int i = 1; i < argc; ++i) {
@@ -163,7 +166,7 @@ struct BenchArgs {
         a.fault_dsl = load_fault_dsl(a.fault_scenario.c_str());
       } else if (arg == "--quick") {
         a.quick = true;
-        a.duration = Duration::hours(2);
+        a.duration = quick_duration;
       } else if (arg == "--help") {
         std::printf("usage: %s%s [--seed S]%s%s%s [--quick]\n", argv[0],
                     (flags & kDuration) ? " [--hours H|--days D]" : "",

@@ -30,7 +30,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +41,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/testbed.h"
 #include "event/scheduler.h"
 #include "net/config.h"
@@ -60,34 +60,6 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Strict integer parsing (the BenchArgs convention): the whole token
-// must be a number in range; garbage and trailing junk exit 2.
-std::int64_t parse_int(const char* flag, const char* text, std::int64_t lo, std::int64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got \"%s\"\n", flag,
-                 static_cast<long long>(lo), static_cast<long long>(hi), text);
-    std::exit(2);
-  }
-  return v;
-}
-
-// Strict floating-point parsing for --max-regress: garbage, trailing
-// junk, non-finite and non-positive thresholds exit 2. strtod's silent
-// 0.0 on garbage would turn a typo into an always-failing gate.
-double parse_positive_double(const char* flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "%s: expected a positive number, got \"%s\"\n", flag, text);
-    std::exit(2);
-  }
-  return v;
 }
 
 struct Result {
@@ -262,19 +234,8 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
 // `default_seed`: the run used the committed entries' seed, so its
 // checksums are comparable when the counts match too.
 int compare_against(const char* path, const Result& r, double max_regress, bool default_seed) {
-  const std::optional<std::string> text = traj::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "--compare: cannot read %s\n", path);
-    return 2;
-  }
-  // Baseline = the LAST trajectory entry only. Older entries may carry
-  // fields the newest one lacks (the retired sharded-engine columns), so
-  // the keys must be resolved within one entry, not by a whole-file scan.
-  const std::string entry = traj::last_entry(*text);
-  if (entry.empty()) {
-    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
-    return 2;
-  }
+  const std::optional<std::string> entry = traj::load_last_entry(path);
+  if (!entry) return 2;
 
   int rc = 0;
   const struct {
@@ -285,21 +246,12 @@ int compare_against(const char* path, const Result& r, double max_regress, bool 
       {"events_per_sec", r.events_per_sec},
   };
   for (const auto& c : checks) {
-    const double committed = traj::number_field(entry, c.key);
+    const double committed = traj::number_field(*entry, c.key);
     if (committed <= 0.0) {
       std::fprintf(stderr, "--compare: no %s in the last entry of %s\n", c.key, path);
       return 2;
     }
-    const double ratio = committed / c.measured;
-    std::printf("compare %-16s measured %12.1f committed %12.1f (%.2fx %s)\n", c.key,
-                c.measured, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
-                ratio > 1.0 ? "slower" : "faster");
-    if (ratio > max_regress) {
-      std::fprintf(stderr, "REGRESSION: %s is %.2fx below the committed baseline "
-                           "(limit %.2fx)\n",
-                   c.key, ratio, max_regress);
-      rc = 1;
-    }
+    if (!traj::rate_within(c.key, c.measured, committed, max_regress)) rc = 1;
   }
 
   // The checksums pin what is simulated, not how fast, so they are
@@ -307,17 +259,19 @@ int compare_against(const char* path, const Result& r, double max_regress, bool 
   // workload (--quick changes the counts).
   const bool same_shape =
       default_seed &&
-      static_cast<std::int64_t>(traj::number_field(entry, "packets")) == r.packets &&
-      static_cast<std::int64_t>(traj::number_field(entry, "events")) == r.events &&
-      static_cast<std::int64_t>(traj::number_field(entry, "samples")) == r.samples;
+      static_cast<std::int64_t>(traj::number_field(*entry, "packets")) == r.packets &&
+      static_cast<std::int64_t>(traj::number_field(*entry, "events")) == r.events &&
+      static_cast<std::int64_t>(traj::number_field(*entry, "samples")) == r.samples;
   if (same_shape) {
-    if (!traj::checksum_matches(entry, "packet_checksum", r.packet_checksum)) rc = 1;
-    if (!traj::checksum_matches(entry, "sample_checksum", r.sample_checksum)) rc = 1;
+    if (!traj::checksum_matches(*entry, "packet_checksum", r.packet_checksum)) rc = 1;
+    if (!traj::checksum_matches(*entry, "sample_checksum", r.sample_checksum)) rc = 1;
   }
   return rc;
 }
 
 int run(int argc, char** argv) {
+  using bench::BenchArgs;
+
   std::int64_t n_packets = 400'000;
   std::int64_t n_events = 2'000'000;
   std::int64_t n_samples = 2'000'000;
@@ -343,9 +297,9 @@ int run(int argc, char** argv) {
       n_samples = 300'000;
     } else if (arg == "--seed") {
       seed = static_cast<std::uint64_t>(
-          parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
+          BenchArgs::parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--reps") {
-      reps = static_cast<int>(parse_int("--reps", next(), 1, 1000));
+      reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 1000));
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--out") {
@@ -353,7 +307,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--compare") {
       compare_path = next();
     } else if (arg == "--max-regress") {
-      max_regress = parse_positive_double("--max-regress", next());
+      max_regress = BenchArgs::parse_double("--max-regress", next(),
+                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
       std::printf("usage: %s [--quick] [--reps N] [--seed S] [--label NAME] [--out PATH] "
                   "[--compare FILE] [--max-regress F]\n",

@@ -10,7 +10,6 @@
 // (its 4 x 1 s follow-up train fires inside the first run).
 
 #include <iostream>
-#include <limits>
 
 #include "bench/bench_common.h"
 #include "core/testbed.h"
@@ -22,32 +21,24 @@
 using namespace ronpath;
 
 int main(int argc, char** argv) {
-  int hours = 24;
-  std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--hours" && i + 1 < argc)
-      hours = static_cast<int>(bench::BenchArgs::parse_int("--hours", argv[++i], 1, 24 * 365));
-    if (a == "--seed" && i + 1 < argc)
-      seed = static_cast<std::uint64_t>(bench::BenchArgs::parse_int(
-          "--seed", argv[++i], 0, std::numeric_limits<std::int64_t>::max()));
-    if (a == "--quick") hours = 4;
-  }
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, Duration::hours(24),
+                                                        bench::kDuration, Duration::hours(4));
+  const Duration span = args.duration;
 
   const Topology topo = testbed_2003();
-  Rng rng(seed);
+  Rng rng(args.seed);
   Scheduler sched;
-  Network net(topo, NetConfig::profile_2003(Duration::hours(hours)), Duration::hours(hours + 1),
-              rng.fork("net"));
+  Network net(topo, NetConfig::profile_2003(span), span + Duration::hours(1), rng.fork("net"));
   OverlayNetwork overlay(net, sched, OverlayConfig{}, rng.fork("overlay"));
   overlay.start();
-  sched.run_until(TimePoint::epoch() + Duration::hours(hours));
+  sched.run_until(TimePoint::epoch() + span);
 
   const auto runs = overlay.loss_run_counts();
   std::int64_t total = 0;
   for (auto r : runs) total += r;
 
-  std::printf("== Probe loss-run lengths (%d h, %lld probes, 870 links @ 15 s) ==\n", hours,
+  std::printf("== Probe loss-run lengths (%lld h, %lld probes, 870 links @ 15 s) ==\n",
+              static_cast<long long>(span.count_seconds() / 3600),
               static_cast<long long>(overlay.probes_sent()));
   TextTable t({"run length", "implied outage", "count", "fraction"});
   static const char* kImplied[] = {"< 15 s",      "15 - 30 s",  "30 - 45 s",

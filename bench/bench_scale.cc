@@ -46,7 +46,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -56,6 +55,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_common.h"
 #include "core/fault_matrix.h"
 #include "fault/scenarios.h"
 #include "snapshot/codec.h"
@@ -65,40 +65,14 @@
 namespace ronpath {
 namespace {
 
+using bench::BenchArgs;
+
 // The seed every committed BENCH_scale.json entry ran with.
 constexpr std::uint64_t kDefaultSeed = 42;
 
 double now_seconds() {
   return std::chrono::duration<double>(std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// Strict integer parsing (the BenchArgs convention): the whole token
-// must be a number in range; garbage and zero exit 2.
-std::int64_t parse_int(const char* flag, const char* text, std::int64_t lo, std::int64_t hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || v < lo || v > hi) {
-    std::fprintf(stderr, "%s: expected an integer in [%lld, %lld], got \"%s\"\n", flag,
-                 static_cast<long long>(lo), static_cast<long long>(hi), text);
-    std::exit(2);
-  }
-  return v;
-}
-
-// Strict floating-point parsing for --max-regress: garbage, trailing
-// junk, non-finite and non-positive thresholds exit 2. strtod's silent
-// 0.0 on garbage would turn a typo into an always-failing gate.
-double parse_positive_double(const char* flag, const char* text) {
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(v) || v <= 0.0) {
-    std::fprintf(stderr, "%s: expected a positive number, got \"%s\"\n", flag, text);
-    std::exit(2);
-  }
-  return v;
 }
 
 // Parses a comma-separated tier list ("30,300,3000"), each strict.
@@ -110,7 +84,8 @@ std::vector<std::size_t> parse_tiers(const char* text) {
     const std::size_t comma = std::min(s.find(',', pos), s.size());
     const std::string tok = s.substr(pos, comma - pos);
     // NodeId is 16-bit with two sentinel values; 65'000 leaves headroom.
-    tiers.push_back(static_cast<std::size_t>(parse_int("--nodes", tok.c_str(), 8, 65'000)));
+    tiers.push_back(
+        static_cast<std::size_t>(BenchArgs::parse_int("--nodes", tok.c_str(), 8, 65'000)));
     pos = comma + 1;
     if (comma == s.size()) break;
   }
@@ -266,16 +241,8 @@ void emit_json(std::FILE* f, const std::vector<TierResult>& tiers, const std::st
 int compare_against(const char* path, const std::vector<TierResult>& tiers,
                     double max_regress, bool default_shape, std::size_t fanout,
                     std::size_t landmarks) {
-  const std::optional<std::string> text = traj::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "--compare: cannot read %s\n", path);
-    return 2;
-  }
-  const std::string entry = traj::last_entry(*text);
-  if (entry.empty()) {
-    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
-    return 2;
-  }
+  const std::optional<std::string> entry = traj::load_last_entry(path);
+  if (!entry) return 2;
   int rc = 0;
   for (const TierResult& t : tiers) {
     const struct {
@@ -286,32 +253,23 @@ int compare_against(const char* path, const std::vector<TierResult>& tiers,
         {"events_per_sec_" + std::to_string(t.nodes), t.events_per_sec},
     };
     for (const auto& c : checks) {
-      if (!traj::has_field(entry, c.key)) continue;  // tier absent in the baseline
-      const double committed = traj::number_field(entry, c.key);
+      if (!traj::has_field(*entry, c.key)) continue;  // tier absent in the baseline
+      const double committed = traj::number_field(*entry, c.key);
       if (committed <= 0.0 || c.measured <= 0.0) continue;
-      const double ratio = committed / c.measured;
-      std::printf("compare %-24s measured %12.1f committed %12.1f (%.2fx %s)\n", c.key.c_str(),
-                  c.measured, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
-                  ratio > 1.0 ? "slower" : "faster");
-      if (ratio > max_regress) {
-        std::fprintf(stderr,
-                     "REGRESSION: %s is %.2fx below the committed baseline (limit %.2fx)\n",
-                     c.key.c_str(), ratio, max_regress);
-        rc = 1;
-      }
+      if (!traj::rate_within(c.key, c.measured, committed, max_regress)) rc = 1;
     }
   }
 
   // The report checksums pin what is simulated, not how fast, so they
   // are compared only against a baseline that ran the same cells.
   const bool same_shape = default_shape &&
-                          traj::number_field(entry, "fanout") == static_cast<double>(fanout) &&
-                          traj::number_field(entry, "landmarks") == static_cast<double>(landmarks);
+                          traj::number_field(*entry, "fanout") == static_cast<double>(fanout) &&
+                          traj::number_field(*entry, "landmarks") == static_cast<double>(landmarks);
   for (const TierResult& t : tiers) {
     const std::string key = "report_checksum_" + std::to_string(t.nodes);
     // Tiers absent in the baseline are skipped.
-    if (same_shape && traj::has_field(entry, key) &&
-        !traj::checksum_matches(entry, key, t.report_checksum)) {
+    if (same_shape && traj::has_field(*entry, key) &&
+        !traj::checksum_matches(*entry, key, t.report_checksum)) {
       rc = 1;
     }
   }
@@ -343,14 +301,14 @@ int run(int argc, char** argv) {
     if (arg == "--nodes") {
       tiers = parse_tiers(next());
     } else if (arg == "--fanout") {
-      fanout = static_cast<std::size_t>(parse_int("--fanout", next(), 1, 65'534));
+      fanout = static_cast<std::size_t>(BenchArgs::parse_int("--fanout", next(), 1, 65'534));
     } else if (arg == "--landmarks") {
-      landmarks = static_cast<std::size_t>(parse_int("--landmarks", next(), 0, 65'534));
+      landmarks = static_cast<std::size_t>(BenchArgs::parse_int("--landmarks", next(), 0, 65'534));
     } else if (arg == "--seed") {
       seed = static_cast<std::uint64_t>(
-          parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
+          BenchArgs::parse_int("--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
     } else if (arg == "--reps") {
-      reps = static_cast<int>(parse_int("--reps", next(), 1, 100));
+      reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 100));
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--no-anchor") {
@@ -362,7 +320,8 @@ int run(int argc, char** argv) {
     } else if (arg == "--compare") {
       compare_path = next();
     } else if (arg == "--max-regress") {
-      max_regress = parse_positive_double("--max-regress", next());
+      max_regress = BenchArgs::parse_double("--max-regress", next(),
+                                            std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
       std::printf("usage: %s [--nodes N[,N...]] [--fanout K] [--landmarks L] [--seed S] "
                   "[--reps N] [--label NAME] [--quick] [--no-anchor] [--out PATH] "

@@ -5,12 +5,15 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "core/testbed.h"
 #include "util/table.h"
 
 using namespace ronpath;
 
-int main() {
+int main(int argc, char** argv) {
+  // A static catalog: only the common --seed/--quick flags are accepted.
+  (void)bench::BenchArgs::parse(argc, argv, Duration::zero(), 0);
   const Topology topo = testbed_2003();
 
   std::printf("== Table 1 - testbed hosts ==\n");

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "bench/bench_common.h"
 #include "routing/schemes.h"
 #include "util/table.h"
 
@@ -21,7 +22,9 @@ bool in_set(std::span<const PairScheme> set, PairScheme s) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  // A static catalog: only the common --seed/--quick flags are accepted.
+  (void)bench::BenchArgs::parse(argc, argv, Duration::zero(), 0);
   std::printf("== Table 4 - route types ==\n");
   TextTable t4({"type", "description"});
   t4.set_align(1, TextTable::Align::kLeft);

@@ -78,40 +78,23 @@ void emit_json(std::FILE* f, const Result& r, const std::string& label) {
 }
 
 int compare_against(const char* path, const Result& r, double max_regress) {
-  const std::optional<std::string> text = traj::read_file(path);
-  if (!text) {
-    std::fprintf(stderr, "--compare: cannot read %s\n", path);
-    return 2;
-  }
-  const std::string entry = traj::last_entry(*text);
-  if (entry.empty()) {
-    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
-    return 2;
-  }
+  const std::optional<std::string> entry = traj::load_last_entry(path);
+  if (!entry) return 2;
 
   int rc = 0;
-  const double committed = traj::number_field(entry, "packets_per_sec");
+  const double committed = traj::number_field(*entry, "packets_per_sec");
   if (committed <= 0.0) {
     std::fprintf(stderr, "--compare: no packets_per_sec in the last entry of %s\n", path);
     return 2;
   }
-  const double ratio = committed / r.packets_per_sec;
-  std::printf("compare %-16s measured %12.1f committed %12.1f (%.2fx %s)\n", "packets_per_sec",
-              r.packets_per_sec, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
-              ratio > 1.0 ? "slower" : "faster");
-  if (ratio > max_regress) {
-    std::fprintf(stderr, "REGRESSION: packets_per_sec is %.2fx below the committed baseline "
-                         "(limit %.2fx)\n",
-                 ratio, max_regress);
-    rc = 1;
-  }
+  if (!traj::rate_within("packets_per_sec", r.packets_per_sec, committed, max_regress)) rc = 1;
 
   // The report checksum pins what is simulated, not how fast — but only
   // when the baseline row ran the same shape (quick mode changes the workload).
   const bool same_shape =
-      traj::number_field(entry, "quick") == (r.quick ? 1.0 : 0.0) &&
-      static_cast<std::int64_t>(traj::number_field(entry, "packets")) == r.packets;
-  if (same_shape && !traj::checksum_matches(entry, "report_checksum", r.report_checksum)) {
+      traj::number_field(*entry, "quick") == (r.quick ? 1.0 : 0.0) &&
+      static_cast<std::int64_t>(traj::number_field(*entry, "packets")) == r.packets;
+  if (same_shape && !traj::checksum_matches(*entry, "report_checksum", r.report_checksum)) {
     rc = 1;
   }
   return rc;

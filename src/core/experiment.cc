@@ -3,9 +3,9 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "core/cell_env.h"
 #include "core/driver.h"
 #include "core/testbed.h"
-#include "net/scale_topology.h"
 #include "event/scheduler.h"
 #include "fault/injector.h"
 #include "net/config.h"
@@ -28,29 +28,12 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     throw std::invalid_argument("path_depth must be 1 or 2 (forwarding carries <= 2 relays)");
   }
   const bool is_2003 = cfg.dataset == Dataset::kRon2003;
-  Topology topo = [&] {
-    if (cfg.synth_nodes > 0) {
-      ScaleTopologyParams params;
-      params.nodes = cfg.synth_nodes;
-      params.seed = cfg.seed;
-      return scale_topology(params);
-    }
-    Topology t = is_2003 ? testbed_2003() : testbed_2002();
-    if (cfg.node_count && *cfg.node_count < t.size()) {
-      std::vector<Site> subset(t.sites().begin(),
-                               t.sites().begin() + static_cast<long>(*cfg.node_count));
-      t = Topology(std::move(subset));
-    }
-    return t;
-  }();
+  Topology topo = select_topology(is_2003 ? testbed_2003() : testbed_2002(), cfg.node_count,
+                                  cfg.synth_nodes, cfg.seed);
   const Duration run_span = cfg.warmup + cfg.duration;
   NetConfig net_cfg =
       is_2003 ? NetConfig::profile_2003(run_span) : NetConfig::profile_2002(run_span);
   if (cfg.loss_scale) net_cfg.loss_scale *= *cfg.loss_scale;
-  if (cfg.disable_incidents) net_cfg.incidents.clear();
-  if (cfg.provider_cross_fraction) {
-    net_cfg.provider_events.cross_fraction = *cfg.provider_cross_fraction;
-  }
 
   Rng rng(cfg.seed);
   Scheduler sched;
@@ -60,19 +43,11 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   OverlayConfig overlay_cfg;
   overlay_cfg.router.forward_delay = net_cfg.forward_delay;
   if (cfg.probe_interval) overlay_cfg.probe_interval = *cfg.probe_interval;
-  if (cfg.host_failures_per_month) {
-    overlay_cfg.host_failures_per_month = *cfg.host_failures_per_month;
-  }
   overlay_cfg.use_ewma_loss = cfg.use_ewma_loss;
   overlay_cfg.router.max_intermediates = cfg.path_depth;
   overlay_cfg.fanout = cfg.overlay_fanout;
   overlay_cfg.landmarks = cfg.overlay_landmarks;
-  if (cfg.graceful_degradation) {
-    // Entries expire after five missed publications; flapping vias serve
-    // a doubling hold-down starting at two probe intervals.
-    overlay_cfg.router.entry_ttl = overlay_cfg.probe_interval * 5;
-    overlay_cfg.router.holddown_base = overlay_cfg.probe_interval * 2;
-  }
+  if (cfg.graceful_degradation) enable_graceful_degradation(overlay_cfg);
   OverlayNetwork overlay(net, sched, overlay_cfg, rng.fork("overlay"));
   std::unique_ptr<FaultInjector> injector;
   if (!cfg.fault_dsl.empty()) {

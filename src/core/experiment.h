@@ -45,12 +45,8 @@ struct ExperimentConfig {
   // Optional underlay overrides for calibration/ablation.
   std::optional<double> loss_scale;
   std::optional<Duration> probe_interval;
-  std::optional<double> host_failures_per_month;
   // Score link loss with an EWMA instead of the paper's last-100 window.
   bool use_ewma_loss = false;
-  // Ablation hooks.
-  bool disable_incidents = false;
-  std::optional<double> provider_cross_fraction;
   // Use only the first N testbed hosts (overlay size scaling ablation).
   std::optional<std::size_t> node_count;
   // When set, every probe record is streamed to this file (rondata

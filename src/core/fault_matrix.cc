@@ -14,10 +14,6 @@ namespace {
 constexpr std::array<FaultScheme, 4> kSchemes = {
     FaultScheme::kDirect, FaultScheme::kReactive, FaultScheme::kMesh, FaultScheme::kHybrid};
 
-double pct(std::int64_t lost, std::int64_t sent) {
-  return sent > 0 ? 100.0 * static_cast<double>(lost) / static_cast<double>(sent) : 0.0;
-}
-
 }  // namespace
 
 std::string_view to_string(FaultScheme scheme) {
@@ -34,116 +30,9 @@ std::span<const FaultScheme> all_fault_schemes() { return kSchemes; }
 
 FaultCell run_fault_cell(const Scenario& scenario, FaultScheme scheme,
                          const FaultMatrixConfig& cfg, std::uint64_t seed) {
-  const HybridMode mode =
-      scheme == FaultScheme::kMesh ? HybridMode::kAlwaysDuplicate : HybridMode::kAdaptive;
-  CellEnv env(scenario, mode, cfg, seed);
-  Scheduler& sched = env.sched;
-  Network& net = *env.net;
-  OverlayNetwork& overlay = *env.overlay;
-  HybridSender& sender = *env.sender;
-  const FaultInjector& injector = *env.injector;
-
-  const NodeId src = 0;
-  const NodeId dst = 1;
-  const TimePoint measure_start = TimePoint::epoch() + cfg.warmup;
-  const TimePoint end = measure_start + cfg.measured;
-  sched.run_until(measure_start);
-
-  std::vector<bool> delivered;
-  delivered.reserve(
-      static_cast<std::size_t>(cfg.measured.count_nanos() / cfg.send_interval.count_nanos()) + 1);
-  for (TimePoint t = measure_start; t < end; t += cfg.send_interval) {
-    sched.run_until(t);
-    bool ok = false;
-    switch (scheme) {
-      case FaultScheme::kDirect:
-        ok = overlay.send(overlay.route(src, dst, RouteTag::kDirect), t).delivered();
-        break;
-      case FaultScheme::kReactive:
-        ok = overlay.send(overlay.route(src, dst, RouteTag::kLoss), t).delivered();
-        break;
-      case FaultScheme::kMesh:
-      case FaultScheme::kHybrid:
-        ok = sender.send(src, dst, t).delivered();
-        break;
-    }
-    delivered.push_back(ok);
-  }
-  sched.run_until(end);
-
-  FaultCell cell = analyze_fault_cell(scenario, cfg, delivered);
-  cell.overhead = (scheme == FaultScheme::kMesh || scheme == FaultScheme::kHybrid)
-                      ? sender.overhead_factor()
-                      : 1.0;
-  cell.route_switches = overlay.router(src).loss_switches(dst);
-  cell.injected_drops = net.stats().dropped_injected;
-  cell.merged_fault_windows = injector.merged_window_count();
-  return cell;
-}
-
-FaultCell analyze_fault_cell(const Scenario& scenario, const FaultMatrixConfig& cfg,
-                             const std::vector<bool>& delivered) {
-  const TimePoint measure_start = TimePoint::epoch() + cfg.warmup;
-  const TimePoint fault_start = scenario.fault_start;
-  const TimePoint fault_end = scenario.fault_start + scenario.fault_duration;
-  const auto time_of = [&](std::size_t i) {
-    return measure_start + cfg.send_interval * static_cast<std::int64_t>(i);
-  };
-  const std::size_t n = delivered.size();
-  const auto streak_ok = [&](std::size_t j) {
-    if (j + static_cast<std::size_t>(cfg.stable_streak) > n) return false;
-    for (int k = 0; k < cfg.stable_streak; ++k) {
-      if (!delivered[j + static_cast<std::size_t>(k)]) return false;
-    }
-    return true;
-  };
-
-  FaultCell cell;
-  std::int64_t sent_pre = 0, lost_pre = 0, sent_fault = 0, lost_fault = 0, sent_post = 0,
-               lost_post = 0;
-  std::size_t first_fault_loss = n;  // n = none
-  std::size_t first_post = n;
-  for (std::size_t i = 0; i < n; ++i) {
-    const TimePoint t = time_of(i);
-    const bool lost = !delivered[i];
-    if (t < fault_start) {
-      ++sent_pre;
-      lost_pre += lost;
-    } else if (t < fault_end) {
-      ++sent_fault;
-      lost_fault += lost;
-      if (lost && first_fault_loss == n) first_fault_loss = i;
-    } else {
-      if (first_post == n) first_post = i;
-      ++sent_post;
-      lost_post += lost;
-    }
-  }
-  cell.loss_pre_pct = pct(lost_pre, sent_pre);
-  cell.loss_fault_pct = pct(lost_fault, sent_fault);
-  cell.loss_post_pct = pct(lost_post, sent_post);
-
-  if (first_fault_loss == n) {
-    // The scheme rode the fault out without a single loss.
-    cell.failover_measured = sent_fault > 0;
-    cell.failover_s = 0.0;
-  } else {
-    for (std::size_t j = first_fault_loss; j < n; ++j) {
-      if (streak_ok(j)) {
-        cell.failover_measured = true;
-        cell.failover_s = (time_of(j) - fault_start).to_seconds_f();
-        break;
-      }
-    }
-  }
-  for (std::size_t j = first_post; j < n; ++j) {
-    if (streak_ok(j)) {
-      cell.recovery_measured = true;
-      cell.recovery_s = (time_of(j) - fault_end).to_seconds_f();
-      break;
-    }
-  }
-  return cell;
+  FaultCellRun run(scenario, scheme, cfg, seed);
+  run.run_to_end();
+  return run.cell();
 }
 
 FaultMatrixResult run_fault_matrix(const FaultMatrixConfig& cfg,

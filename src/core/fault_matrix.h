@@ -87,18 +87,10 @@ struct FaultCell {
   std::int64_t merged_fault_windows = 0;
 };
 
-// Runs one cell; pure function of its arguments (see header comment).
+// Runs one cell (core/cell_env.h's FaultCellRun) to the end; pure
+// function of its arguments (see header comment).
 [[nodiscard]] FaultCell run_fault_cell(const Scenario& scenario, FaultScheme scheme,
                                        const FaultMatrixConfig& cfg, std::uint64_t seed);
-
-// The analysis half of run_fault_cell: turns a CBR delivery timeline
-// (one sample per send_interval from warmup end) into the per-phase loss
-// rates and failover/recovery times. Shared with the snapshot/soak
-// harness, whose restored runs must reproduce run_fault_cell's numbers
-// bit for bit. The accounting fields (overhead, route_switches,
-// injected_drops, merged_fault_windows) are left at their defaults.
-[[nodiscard]] FaultCell analyze_fault_cell(const Scenario& scenario, const FaultMatrixConfig& cfg,
-                                           const std::vector<bool>& delivered);
 
 struct FaultCellSummary {
   std::string scenario;

@@ -2,12 +2,6 @@
 
 namespace ronpath {
 
-std::vector<std::string> audit_world(const SimWorld& world) {
-  std::vector<std::string> out;
-  world.check_invariants(out);
-  return out;
-}
-
 std::string format_audit(const std::vector<std::string>& violations) {
   if (violations.empty()) return "audit clean\n";
   std::string out = "audit FAILED with " + std::to_string(violations.size()) + " violation(s):\n";

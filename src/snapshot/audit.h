@@ -1,8 +1,9 @@
-// Runtime invariant auditor for the snapshot/soak subsystem.
+// Runtime invariant audit report for the snapshot/soak subsystem.
 //
-// Aggregates every layer's check_invariants() over a SimWorld into one
-// pass/fail verdict. The audited invariants (see DESIGN.md, "Snapshot &
-// soak"):
+// CellRun::check_invariants (core/cell_env.h) runs every layer's
+// check_invariants() over a cell — SimWorld or WorkloadWorld — and
+// collects one message per violation. The audited invariants (see
+// DESIGN.md, "Snapshot & soak"):
 //
 //   scheduler  - heap property holds; no entry behind the clock; slot /
 //                generation consistency; sequence numbers below next_seq
@@ -16,10 +17,13 @@
 //                by holddown_max; incumbent paths well-formed
 //   routing    - hybrid overhead counters conserve (copies = packets +
 //                duplications)
-//   world      - delivery timeline length matches the send counter;
-//                progress flags consistent
+//   progress   - cursor within the run; no step or drain before the
+//                warmup; no drain before the last step
+//   world      - SimWorld: delivery timeline length matches the cursor;
+//                WorkloadWorld: controllers and class metrics well
+//                formed, scored + pending packets match the cursor
 //
-// audit_world returns one message per violation (empty = clean).
+// format_audit turns the messages into one pass/fail verdict.
 
 #ifndef RONPATH_SNAPSHOT_AUDIT_H_
 #define RONPATH_SNAPSHOT_AUDIT_H_
@@ -27,11 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "snapshot/world.h"
-
 namespace ronpath {
-
-[[nodiscard]] std::vector<std::string> audit_world(const SimWorld& world);
 
 // Human-readable audit summary ("audit clean" or a numbered list).
 [[nodiscard]] std::string format_audit(const std::vector<std::string>& violations);

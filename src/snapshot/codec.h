@@ -78,8 +78,11 @@ class Encoder {
 class Decoder {
  public:
   Decoder(const std::uint8_t* data, std::size_t size) : data_(data), size_(size) {}
+  // Reads `bytes` in place: they must outlive the decoder, so a
+  // temporary vector is rejected at compile time.
   explicit Decoder(const std::vector<std::uint8_t>& bytes)
       : Decoder(bytes.data(), bytes.size()) {}
+  Decoder(std::vector<std::uint8_t>&&) = delete;
 
   [[nodiscard]] std::size_t remaining() const { return size_ - pos_; }
   [[nodiscard]] bool done() const { return pos_ == size_; }
@@ -195,6 +198,15 @@ inline std::uint64_t crc64(const std::uint8_t* data, std::size_t size,
     crc = table[(crc ^ data[i]) & 0xff] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+// Bit-packs a flag sequence, LSB-first within each byte.
+inline std::vector<std::uint8_t> pack_bits(const std::vector<bool>& bits) {
+  std::vector<std::uint8_t> bytes((bits.size() + 7) / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i]) bytes[i / 8] |= static_cast<std::uint8_t>(1u << (i % 8));
+  }
+  return bytes;
 }
 
 // FNV-1a over a byte string; used for configuration fingerprints.

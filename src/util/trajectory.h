@@ -1,5 +1,5 @@
-// Trajectory-file parsing shared by the perf benches (bench_hotpath,
-// bench_scale).
+// Trajectory-file parsing and the --compare gate shared by the perf
+// benches (bench_hotpath, bench_scale, bench_workload).
 //
 // A trajectory file (BENCH_hotpath.json, BENCH_scale.json) is a JSON
 // array of flat objects, one per committed run, appended over time. The
@@ -86,6 +86,39 @@ inline double number_field(const std::string& entry, const std::string& key,
 // True when the entry carries the key at all (regardless of value).
 inline bool has_field(const std::string& entry, const std::string& key) {
   return entry.find("\"" + key + "\":") != std::string::npos;
+}
+
+// Reads `path` and returns its last entry. Prints a --compare
+// diagnostic and returns nullopt when the file cannot be read or holds
+// no complete entry.
+inline std::optional<std::string> load_last_entry(const char* path) {
+  const std::optional<std::string> text = read_file(path);
+  if (!text) {
+    std::fprintf(stderr, "--compare: cannot read %s\n", path);
+    return std::nullopt;
+  }
+  std::string entry = last_entry(*text);
+  if (entry.empty()) {
+    std::fprintf(stderr, "--compare: no trajectory entry in %s\n", path);
+    return std::nullopt;
+  }
+  return entry;
+}
+
+// Compares a measured rate (higher is better) with the committed one.
+// Prints the comparison, or a REGRESSION diagnostic to stderr when the
+// committed rate exceeds the measured one by more than `max_regress`x;
+// returns whether the rate is within that bound.
+inline bool rate_within(const std::string& key, double measured, double committed,
+                        double max_regress) {
+  const double ratio = committed / measured;
+  std::printf("compare %-24s measured %12.1f committed %12.1f (%.2fx %s)\n", key.c_str(),
+              measured, committed, ratio > 1.0 ? ratio : 1.0 / ratio,
+              ratio > 1.0 ? "slower" : "faster");
+  if (ratio <= max_regress) return true;
+  std::fprintf(stderr, "REGRESSION: %s is %.2fx below the committed baseline (limit %.2fx)\n",
+               key.c_str(), ratio, max_regress);
+  return false;
 }
 
 // Compares a measured checksum with the entry's `"key": "%016x"` field

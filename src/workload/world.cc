@@ -43,12 +43,12 @@ std::span<const WorkloadPolicy> all_workload_policies() { return kPolicies; }
 
 WorkloadWorld::WorkloadWorld(const Scenario& scenario, WorkloadPolicy policy,
                              const WorkloadConfig& cfg, std::uint64_t seed)
-    : scenario_name_(scenario.name),
+    : CellRun(scenario, sender_mode(policy), validated(cfg).cell, seed, "WKLD"),
+      scenario_name_(scenario.name),
       dsl_(scenario.dsl),
       policy_(policy),
-      cfg_(validated(cfg)),
+      cfg_(cfg),
       seed_(seed),
-      env_(scenario, sender_mode(policy), cfg.cell, seed),
       traffic_(cfg_.spec, env_.topo.size(), measure_start(), end_time(),
                Rng(seed).fork("workload")) {
   nodes_ = env_.topo.size();
@@ -169,7 +169,8 @@ void WorkloadWorld::finish_flow(std::uint32_t flow_idx, TimePoint t) {
   fp.burst_flushed = true;
 }
 
-void WorkloadWorld::send_one(const PacketEvent& ev) {
+void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
+  const PacketEvent& ev = schedule_[i];
   const Flow& flow = traffic_.flows()[ev.flow];
   FlowProgress& fp = progress_[ev.flow];
   const std::size_t cls = static_cast<std::size_t>(flow.cls);
@@ -241,30 +242,11 @@ void WorkloadWorld::send_one(const PacketEvent& ev) {
   if (ev.index == flow.packets - 1) finish_flow(ev.flow, ev.t);
 }
 
-void WorkloadWorld::advance_to(std::size_t packet_index) {
-  if (packet_index > schedule_.size()) packet_index = schedule_.size();
-  if (!warmed_) {
-    env_.sched.run_until(measure_start());
-    warmed_ = true;
-  }
-  while (next_packet_ < packet_index) {
-    const PacketEvent& ev = schedule_[next_packet_];
-    env_.sched.run_until(ev.t);
-    send_one(ev);
-    ++next_packet_;
-  }
-}
-
-void WorkloadWorld::run_to_end() {
-  advance_to(schedule_.size());
-  if (!drained_) {
-    env_.sched.run_until(end_time());
-    // Flows clipped by the window end never saw their last packet; close
-    // their blocks and burst runs in flow order.
-    for (std::uint32_t fi = 0; fi < progress_.size(); ++fi) {
-      if (!progress_[fi].burst_flushed) finish_flow(fi, end_time());
-    }
-    drained_ = true;
+void WorkloadWorld::drain() {
+  // Flows clipped by the window end never saw their last packet; close
+  // their blocks and burst runs in flow order.
+  for (std::uint32_t fi = 0; fi < progress_.size(); ++fi) {
+    if (!progress_[fi].burst_flushed) finish_flow(fi, end_time());
   }
 }
 
@@ -326,11 +308,7 @@ std::uint64_t WorkloadWorld::fingerprint() const {
   return h;
 }
 
-void WorkloadWorld::save_state(snap::Encoder& e) const {
-  e.tag("WKLD");
-  e.b(warmed_);
-  e.b(drained_);
-  e.u64(next_packet_);
+void WorkloadWorld::save_body(snap::Encoder& e) const {
   e.i64(app_packets_);
   e.i64(copies_);
   e.i64(fec_blocks_);
@@ -356,24 +334,9 @@ void WorkloadWorld::save_state(snap::Encoder& e) const {
   e.u64(ctrl_.size());
   for (const AdaptiveController& c : ctrl_) c.save_state(e);
   for (const ClassMetrics& m : metrics_) m.save_state(e);
-  // Scheduler clock first on restore, then owners re-arm (same
-  // discipline as snapshot/world.cc).
-  e.time(env_.sched.now());
-  e.u64(env_.sched.next_seq());
-  e.u64(env_.sched.dispatched_events());
-  env_.net->save_state(e);
-  env_.overlay->save_state(e);
-  env_.sender->save_state(e);
 }
 
-void WorkloadWorld::restore_state(snap::Decoder& d) {
-  d.expect_tag("WKLD");
-  warmed_ = d.b();
-  drained_ = d.b();
-  next_packet_ = d.u64();
-  if (next_packet_ > schedule_.size()) {
-    throw snap::SnapshotError("workload snapshot: packet cursor past the schedule");
-  }
+void WorkloadWorld::restore_body(snap::Decoder& d) {
   app_packets_ = d.i64();
   copies_ = d.i64();
   fec_blocks_ = d.i64();
@@ -408,14 +371,6 @@ void WorkloadWorld::restore_state(snap::Decoder& d) {
   }
   for (AdaptiveController& c : ctrl_) c.restore_state(d);
   for (ClassMetrics& m : metrics_) m.restore_state(d);
-  const TimePoint now = d.time();
-  const std::uint64_t next_seq = d.u64();
-  const std::uint64_t dispatched = d.u64();
-  env_.sched.restore_clock(now, next_seq, dispatched);
-  env_.net->restore_state(d);
-  env_.overlay->restore_state(d);
-  env_.sender->restore_state(d);
-  d.expect_done();
 }
 
 std::string WorkloadWorld::report() const {
@@ -426,7 +381,7 @@ std::string WorkloadWorld::report() const {
          " | seed " + std::to_string(seed_) + " | nodes " + std::to_string(nodes_) + "\n";
   std::snprintf(buf, sizeof buf, "clock %lldns | packets %zu/%zu | flows %zu\n",
                 static_cast<long long>(env_.sched.now().since_epoch().count_nanos()),
-                next_packet_, schedule_.size(), traffic_.flows().size());
+                next_step(), schedule_.size(), traffic_.flows().size());
   out += buf;
   for (std::size_t c = 0; c < kServiceClassCount; ++c) {
     const ClassMetrics& m = metrics_[c];
@@ -453,34 +408,21 @@ std::string WorkloadWorld::report() const {
   for (const ClassMetrics& m : metrics_) m.save_state(e);
   std::uint64_t hash = snap::fnv1a(std::string_view(
       reinterpret_cast<const char*>(e.bytes().data()), e.bytes().size()));
-  hash = snap::fnv1a_u64(next_packet_, hash);
+  hash = snap::fnv1a_u64(next_step(), hash);
   std::snprintf(buf, sizeof buf, "metrics-hash %016llx\n",
                 static_cast<unsigned long long>(hash));
   out += buf;
   return out;
 }
 
-void WorkloadWorld::check_invariants(std::vector<std::string>& out) const {
-  env_.sched.check_invariants(out);
-  env_.net->check_invariants(out);
-  env_.overlay->check_invariants(env_.sched.now(), out);
-  env_.sender->check_invariants(out);
+void WorkloadWorld::check_body(std::vector<std::string>& out) const {
   for (const AdaptiveController& c : ctrl_) c.check_invariants(out);
   for (const ClassMetrics& m : metrics_) m.check_invariants(out);
-  if (next_packet_ > schedule_.size()) {
-    out.push_back("workload: packet cursor past the schedule");
-  }
-  if (!warmed_ && next_packet_ > 0) {
-    out.push_back("workload: packets sent before warmup completed");
-  }
-  if (drained_ && next_packet_ != schedule_.size()) {
-    out.push_back("workload: drained flag set before all packets were sent");
-  }
   std::uint64_t scored = 0;
   for (const ClassMetrics& m : metrics_) scored += m.sent();
   std::uint64_t pending = 0;
   for (const FlowProgress& fp : progress_) pending += fp.block.size();
-  if (scored + pending != next_packet_) {
+  if (scored + pending != next_step()) {
     out.push_back("workload: scored + pending packets disagree with the cursor");
   }
   if (copies_ < app_packets_) {

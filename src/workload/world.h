@@ -30,10 +30,15 @@
 // lost data packet is recovered iff delivered shards >= block size, at
 // the latency of the last delivered shard in the block.
 //
+// Lifecycle: a WorkloadWorld is a core/cell_env.h CellRun whose steps
+// are the scheduled packets, so it shares SimWorld's warmup, cursor,
+// drain, checkpoint header and tail, and layer audit. This class adds
+// the packet schedule and the FEC, bucket, controller and metric state,
+// checkpointed between the header and the tail.
+//
 // Determinism: a finished world is a pure function of (scenario,
 // policy, config, seed) — byte-identical report at any --jobs,
-// and snapshot kill/restore reproduces it exactly (same re-arm
-// discipline as SimWorld; clock first, then owners).
+// and snapshot kill/restore reproduces it exactly.
 
 #ifndef RONPATH_WORKLOAD_WORLD_H_
 #define RONPATH_WORKLOAD_WORLD_H_
@@ -43,6 +48,7 @@
 #include <vector>
 
 #include "core/cell_env.h"
+#include "core/fault_matrix.h"
 #include "measure/perceived.h"
 #include "workload/adaptive.h"
 #include "workload/spec.h"
@@ -64,21 +70,16 @@ struct WorkloadConfig {
   AdaptiveConfig adaptive;
 };
 
-class WorkloadWorld {
+class WorkloadWorld : public CellRun {
  public:
   // Throws std::runtime_error when the scenario DSL does not parse and
   // std::invalid_argument when the spec fails validation.
   WorkloadWorld(const Scenario& scenario, WorkloadPolicy policy, const WorkloadConfig& cfg,
                 std::uint64_t seed);
 
-  [[nodiscard]] std::size_t total_packets() const { return schedule_.size(); }
-  [[nodiscard]] std::size_t next_packet() const { return next_packet_; }
-  [[nodiscard]] bool finished() const { return drained_; }
-
-  // Runs forward until `packet_index` scheduled packets have been sent
-  // (clamped). The warmup runs on first call.
-  void advance_to(std::size_t packet_index);
-  void run_to_end();
+  [[nodiscard]] std::size_t total_steps() const override { return schedule_.size(); }
+  [[nodiscard]] std::size_t total_packets() const { return total_steps(); }
+  [[nodiscard]] std::size_t next_packet() const { return next_step(); }
 
   [[nodiscard]] const PerClassMetrics& metrics() const { return metrics_; }
   // Copies sent per application packet (data + duplicates + parity).
@@ -92,18 +93,11 @@ class WorkloadWorld {
   // full workload spec).
   [[nodiscard]] std::uint64_t fingerprint() const;
 
-  void save_state(snap::Encoder& e) const;
-  void restore_state(snap::Decoder& d);
-
   // Deterministic text report: progress, per-class table, overhead,
   // transitions, metric hash. Byte-identical between an uninterrupted
   // run and any kill/restore schedule.
   [[nodiscard]] std::string report() const;
 
-  void check_invariants(std::vector<std::string>& out) const;
-
-  [[nodiscard]] Scheduler& scheduler() { return env_.sched; }
-  [[nodiscard]] const WorkloadConfig& config() const { return cfg_; }
   [[nodiscard]] const std::vector<Flow>& flows() const { return traffic_.flows(); }
 
  private:
@@ -128,8 +122,13 @@ class WorkloadWorld {
     TimePoint last;
   };
 
-  [[nodiscard]] TimePoint measure_start() const { return TimePoint::epoch() + cfg_.cell.warmup; }
-  [[nodiscard]] TimePoint end_time() const { return measure_start() + cfg_.cell.measured; }
+  [[nodiscard]] TimePoint step_time(std::size_t i) const override { return schedule_[i].t; }
+  void step(std::size_t i, TimePoint t) override;
+  void drain() override;
+  void save_body(snap::Encoder& e) const override;
+  void restore_body(snap::Decoder& d) override;
+  void check_body(std::vector<std::string>& out) const override;
+
   [[nodiscard]] std::size_t pair_index(NodeId src, NodeId dst) const {
     return static_cast<std::size_t>(src) * nodes_ + dst;
   }
@@ -142,7 +141,6 @@ class WorkloadWorld {
   void flush_block(std::uint32_t flow_idx, TimePoint t);
   // End-of-flow bookkeeping (close the burst run).
   void finish_flow(std::uint32_t flow_idx, TimePoint t);
-  void send_one(const PacketEvent& ev);
 
   // Configuration (immutable after construction).
   std::string scenario_name_;
@@ -152,7 +150,6 @@ class WorkloadWorld {
   std::uint64_t seed_;
   std::size_t nodes_ = 0;
 
-  CellEnv env_;
   TrafficMatrix traffic_;
   std::vector<PacketEvent> schedule_;
 
@@ -162,13 +159,10 @@ class WorkloadWorld {
   std::vector<double> loss_est_;             // per ordered pair EWMA
   std::vector<AdaptiveController> ctrl_;     // per pair x class
   PerClassMetrics metrics_;
-  std::size_t next_packet_ = 0;
   std::int64_t app_packets_ = 0;
   std::int64_t copies_ = 0;
   std::int64_t fec_blocks_ = 0;
   std::int64_t fec_recovered_ = 0;
-  bool warmed_ = false;
-  bool drained_ = false;
 };
 
 }  // namespace ronpath

@@ -60,7 +60,8 @@ const char* kSeedBenches[] = {
     "bench_hybrid_sweetspot", "bench_ablation_shared_bottleneck", "bench_failover_time",
     "bench_fec_spread",       "bench_recovery_latency",           "bench_ablation_path_depth",
     "bench_ablation_burst_gap", "bench_hotpath",                  "bench_scale",
-    "bench_workload",
+    "bench_workload",         "bench_loss_runs",                  "bench_ablation_two_hop",
+    "bench_table1_testbed",   "bench_table4_tactics",
 };
 
 TEST(BenchStrictArgs, NonNumericSeedExitsTwo) {
@@ -109,6 +110,11 @@ TEST(BenchStrictArgs, UnknownFlagExitsTwo) {
   expect_rejects("bench_fig6_design_space", "--trials 3 --jobs 2");
   expect_rejects("bench_table3_datasets", "--csv /dev/null");
   expect_rejects("bench_fault_matrix", "--hours 3");
+  // --quick bounds the run should a bench ever stop rejecting the flag.
+  for (const char* name : {"bench_loss_runs", "bench_ablation_two_hop", "bench_table1_testbed",
+                           "bench_table4_tactics"}) {
+    expect_rejects(name, "--quick --definitely-not-a-flag");
+  }
 }
 
 // soak runs one of two worlds; a flag only the other world reads must

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "event/scheduler.h"
@@ -88,6 +89,21 @@ TEST(SnapshotCodec, CountRejectsAbsurdLengths) {
   e.u64(1u << 30);  // claims a billion elements with no payload behind it
   snap::Decoder d(e.bytes());
   EXPECT_THROW((void)d.count(8), snap::SnapshotError);
+}
+
+// A Decoder reads its bytes in place, so binding one to a temporary
+// vector would read freed memory: that form must not compile, while the
+// lvalue and pointer forms still do.
+TEST(SnapshotCodec, DecoderRejectsTemporaryBytes) {
+  using Bytes = std::vector<std::uint8_t>;
+  static_assert(!std::is_constructible_v<snap::Decoder, Bytes&&>);
+  static_assert(!std::is_constructible_v<snap::Decoder, Bytes>);
+  static_assert(std::is_constructible_v<snap::Decoder, Bytes&>);
+  static_assert(std::is_constructible_v<snap::Decoder, const Bytes&>);
+  static_assert(std::is_constructible_v<snap::Decoder, const std::uint8_t*, std::size_t>);
+  const Bytes bytes = {1};
+  snap::Decoder d(bytes);
+  EXPECT_EQ(d.u8(), 1);
 }
 
 TEST(SnapshotRng, StreamRoundTripsExactly) {

@@ -54,7 +54,8 @@ FaultMatrixConfig soak_config() {
 }
 
 void expect_clean_audit(const SimWorld& world, const std::string& where) {
-  const std::vector<std::string> violations = audit_world(world);
+  std::vector<std::string> violations;
+  world.check_invariants(violations);
   EXPECT_TRUE(violations.empty()) << where << ": " << format_audit(violations);
 }
 

@@ -1,20 +1,20 @@
 // SimWorld correctness pins.
 //
-// 1. Differential: a SimWorld run to completion must reproduce
-//    run_fault_cell's FaultCell bit-for-bit for every canonical
-//    scenario — the resumable world and the reference cell runner can
-//    never drift apart silently.
-// 2. Kill/restore: interrupting a run at arbitrary send counts,
+// 1. Kill/restore: interrupting a run at arbitrary send counts,
 //    serializing through the sealed envelope, restoring into a freshly
 //    constructed world and continuing must produce byte-identical
 //    reports to an uninterrupted run — including double-kill schedules
 //    and a full disk round trip.
+// 2. Restore validation: a payload whose progress no run can reach is
+//    rejected, for SimWorld and WorkloadWorld alike (the check lives in
+//    their shared CellRun lifecycle).
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault_matrix.h"
@@ -23,6 +23,7 @@
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
 #include "snapshot/world.h"
+#include "workload/world.h"
 
 namespace ronpath {
 namespace {
@@ -44,28 +45,6 @@ void expect_cells_identical(const FaultCell& a, const FaultCell& b, std::string_
   EXPECT_EQ(a.route_switches, b.route_switches) << what;
   EXPECT_EQ(a.injected_drops, b.injected_drops) << what;
   EXPECT_EQ(a.merged_fault_windows, b.merged_fault_windows) << what;
-}
-
-// SimWorld::cell() == run_fault_cell() for every canonical scenario.
-TEST(SnapshotWorld, DifferentialAgainstRunFaultCell) {
-  FaultMatrixConfig cfg;
-  cfg.node_count = 8;
-  const auto scenarios = canonical_scenarios();
-  for (std::size_t i = 0; i < scenarios.size(); ++i) {
-    const Scenario& scenario = scenarios[i];
-    const FaultScheme scheme = scheme_for(i);
-    const FaultCell reference = run_fault_cell(scenario, scheme, cfg, cfg.seed);
-
-    SimWorld world(scenario, scheme, cfg, cfg.seed);
-    world.run_to_end();
-    ASSERT_TRUE(world.finished());
-    expect_cells_identical(world.cell(), reference,
-                           std::string(scenario.name) + "/" + std::string(to_string(scheme)));
-
-    std::vector<std::string> violations = audit_world(world);
-    EXPECT_TRUE(violations.empty())
-        << scenario.name << ": " << format_audit(violations);
-  }
 }
 
 // Kill/restore at two arbitrary points; the continued run's report must
@@ -119,7 +98,8 @@ TEST(SnapshotWorld, KillRestoreReportsAreByteIdentical) {
         << scenario.name << " killed at " << kill1 << " and " << kill2 << " of " << total;
     expect_cells_identical(final_world.cell(), uninterrupted.cell(), scenario.name);
 
-    std::vector<std::string> violations = audit_world(final_world);
+    std::vector<std::string> violations;
+    final_world.check_invariants(violations);
     EXPECT_TRUE(violations.empty())
         << scenario.name << ": " << format_audit(violations);
   }
@@ -200,6 +180,52 @@ TEST(SnapshotWorld, SnapshotIsReusable) {
       EXPECT_EQ(resumed.report(), first_report);
     }
   }
+}
+
+// Saves `World(args...)` at step `at`, then restores the payload with
+// its warmed or drained byte contradicting the cursor (header: 4-byte
+// tag, warmed, drained): each must throw, the unedited payload must not.
+template <class World, class... Args>
+void expect_contradictory_progress_rejected(std::size_t at, const Args&... args) {
+  World victim(args...);
+  victim.advance_to(at);
+  snap::Encoder e;
+  victim.save_state(e);
+  const std::vector<std::uint8_t> good = e.take();
+
+  constexpr std::size_t kWarmed = 4;
+  constexpr std::size_t kDrained = 5;
+  const std::pair<std::size_t, std::uint8_t> edits[] = {
+      {kDrained, 1},  // drained before the last step
+      {kWarmed, 0},   // steps recorded before the warmup ran
+  };
+  for (const auto& [offset, value] : edits) {
+    std::vector<std::uint8_t> bad = good;
+    bad[offset] = value;
+    World fresh(args...);
+    snap::Decoder d(bad);
+    EXPECT_THROW(fresh.restore_state(d), snap::SnapshotError)
+        << "byte " << offset << " set to " << static_cast<int>(value) << " at step " << at;
+  }
+  World fresh(args...);
+  snap::Decoder d(good);
+  EXPECT_NO_THROW(fresh.restore_state(d));
+}
+
+TEST(SnapshotWorld, RestoreRejectsContradictoryProgress) {
+  FaultMatrixConfig cfg;
+  cfg.node_count = 4;
+  cfg.warmup = Duration::minutes(2);
+  cfg.measured = Duration::minutes(3);
+  cfg.send_interval = Duration::millis(500);
+  const Scenario& scenario = *find_scenario("link-flap");
+  expect_contradictory_progress_rejected<SimWorld>(100, scenario, FaultScheme::kHybrid, cfg,
+                                                   cfg.seed);
+
+  WorkloadConfig wcfg;
+  wcfg.cell = cfg;
+  expect_contradictory_progress_rejected<WorkloadWorld>(50, scenario, WorkloadPolicy::kAdaptive,
+                                                        wcfg, cfg.seed);
 }
 
 }  // namespace

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <optional>
+#include <string>
+
 namespace ronpath {
 namespace {
 
@@ -66,6 +71,27 @@ TEST(Trajectory, ChecksumMatchesOnlyTheLastEntrysExactValue) {
   EXPECT_FALSE(traj::checksum_matches(entry, "sum", 0xff));  // older entry
   EXPECT_FALSE(traj::checksum_matches(entry, "other", 0xabc));
   EXPECT_FALSE(traj::checksum_matches(entry, "missing", 0xabc));
+}
+
+TEST(Trajectory, RateWithinFailsOnlyBeyondTheBound) {
+  EXPECT_TRUE(traj::rate_within("pps", 300.0, 100.0, 2.0));  // faster
+  EXPECT_TRUE(traj::rate_within("pps", 100.0, 150.0, 2.0));  // 1.5x slower
+  EXPECT_TRUE(traj::rate_within("pps", 100.0, 200.0, 2.0));  // at the bound
+  EXPECT_FALSE(traj::rate_within("pps", 100.0, 201.0, 2.0));
+}
+
+TEST(Trajectory, LoadLastEntryNeedsAReadableFileWithAnEntry) {
+  EXPECT_FALSE(traj::load_last_entry("/nonexistent/BENCH_trajectory.json"));
+  const std::string path = testing::TempDir() + "/ronpath_trajectory_test.json";
+  for (const char* text : {"[\n", kTwoEntries}) {
+    std::ofstream(path) << text;
+    const std::optional<std::string> entry = traj::load_last_entry(path.c_str());
+    EXPECT_EQ(entry.has_value(), text == kTwoEntries);
+    if (entry) {
+      EXPECT_EQ(traj::number_field(*entry, "packets_per_sec"), 200.0);
+    }
+  }
+  std::remove(path.c_str());
 }
 
 TEST(Trajectory, SingleEntryFile) {

@@ -238,57 +238,53 @@ Scenario resolve_scenario(const SoakOptions& opt, const FaultMatrixConfig& cfg,
 }
 
 // Audits the world; on violations prints the report and exits 1.
-void audit_or_die(const SimWorld& world, const SoakOptions& opt, const char* where) {
+void audit_or_die(const CellRun& world, const SoakOptions& opt, const std::string& where) {
   if (!opt.audit) return;
-  const std::vector<std::string> violations = audit_world(world);
+  std::vector<std::string> violations;
+  world.check_invariants(violations);
   if (!violations.empty()) {
-    std::fprintf(stderr, "invariant audit failed %s:\n%s", where,
+    std::fprintf(stderr, "invariant audit failed %s:\n%s", where.c_str(),
                  format_audit(violations).c_str());
     std::exit(1);
   }
 }
 
-void workload_audit_or_die(const WorkloadWorld& world, const SoakOptions& opt,
-                           const char* where) {
-  if (!opt.audit) return;
-  std::vector<std::string> violations;
-  world.check_invariants(violations);
-  if (!violations.empty()) {
-    std::fprintf(stderr, "workload invariant audit failed %s:\n", where);
-    for (const std::string& v : violations) std::fprintf(stderr, "  %s\n", v.c_str());
-    std::exit(1);
-  }
-}
+// How the soak loop names the world it drives and its steps.
+struct SoakLabels {
+  const char* title;        // "soak" or "workload soak"
+  const char* unit;         // one step: "send" or "packet"
+  const char* file_prefix;  // snapshot file names under --snapshot-dir
+};
 
-// The SimWorld loop, rehosted on a WorkloadWorld: checkpoint on packet
-// counts, kill/restore through the same sealed envelope, byte-compare
-// against an uninterrupted twin with --verify.
-int run_workload_soak(const SoakOptions& opt, const Scenario& scenario) {
-  WorkloadConfig cfg;
-  cfg.cell.seed = opt.seed;
-  if (opt.measured < cfg.cell.measured) cfg.spec.population /= 4.0;  // --quick
-
+// The kill/restore loop over either world. `make` builds a fresh world
+// (SimWorld or WorkloadWorld) from the soak's fixed arguments: checkpoint
+// every --checkpoint-every steps, kill and restore through the sealed
+// envelope at every --kill-every-th checkpoint, and with --verify
+// byte-compare the final report against an uninterrupted twin.
+template <class Make>
+int run_soak(const SoakOptions& opt, const Scenario& scenario, const SoakLabels& labels,
+             const std::string& banner, const Make& make) {
   std::string expected;
   if (opt.verify) {
-    WorkloadWorld reference(scenario, opt.policy, cfg, opt.seed);
-    reference.run_to_end();
-    expected = reference.report();
-    std::printf("verify: uninterrupted reference run complete (%zu packets)\n",
-                reference.total_packets());
+    const auto reference = make();
+    reference->run_to_end();
+    expected = reference->report();
+    std::printf("verify: uninterrupted reference run complete (%zu %ss)\n",
+                reference->total_steps(), labels.unit);
   }
 
-  auto world = std::make_unique<WorkloadWorld>(scenario, opt.policy, cfg, opt.seed);
-  const std::size_t total = world->total_packets();
-  std::printf("workload soak: %s / %s, %zu packets, checkpoint every %zu, kill every %zu%s\n",
-              std::string(scenario.name).c_str(), std::string(to_string(opt.policy)).c_str(),
-              total, opt.checkpoint_every, opt.kill_every,
+  auto world = make();
+  const std::size_t total = world->total_steps();
+  std::printf("%s: %s, %zu %ss, checkpoint every %zu, kill every %zu%s\n", labels.title,
+              banner.c_str(), total, labels.unit, opt.checkpoint_every, opt.kill_every,
               opt.snapshot_dir.empty() ? " (snapshots in memory)" : "");
 
   std::size_t checkpoints = 0;
   std::size_t kills = 0;
   for (std::size_t next = opt.checkpoint_every; next < total; next += opt.checkpoint_every) {
+    const std::string at = std::string(labels.unit) + " " + std::to_string(next);
     world->advance_to(next);
-    workload_audit_or_die(*world, opt, ("at packet " + std::to_string(next)).c_str());
+    audit_or_die(*world, opt, "at " + at);
     ++checkpoints;
 
     snap::Encoder e;
@@ -299,32 +295,31 @@ int run_workload_soak(const SoakOptions& opt, const Scenario& scenario) {
     if (opt.snapshot_dir.empty()) {
       file = snap::seal(fp, e.bytes());
     } else {
-      path = opt.snapshot_dir + "/soak-workload-" + std::string(scenario.name) + "-" +
+      path = opt.snapshot_dir + "/" + labels.file_prefix + std::string(scenario.name) + "-" +
              std::to_string(next) + ".snap";
       snap::write_file(path, fp, e.bytes());
     }
 
     if (opt.kill_every != 0 && checkpoints % opt.kill_every == 0) {
       world.reset();  // the crash
-      auto restored = std::make_unique<WorkloadWorld>(scenario, opt.policy, cfg, opt.seed);
+      auto restored = make();
       const std::vector<std::uint8_t> payload =
           path.empty() ? snap::unseal(file, restored->fingerprint())
                        : snap::read_file(path, restored->fingerprint());
       snap::Decoder d(payload);
       restored->restore_state(d);
-      workload_audit_or_die(*restored, opt,
-                            ("after restore at packet " + std::to_string(next)).c_str());
+      audit_or_die(*restored, opt, "after restore at " + at);
       world = std::move(restored);
       ++kills;
-      std::printf("  killed and restored at packet %zu\n", next);
+      std::printf("  killed and restored at %s\n", at.c_str());
     }
   }
   world->run_to_end();
-  workload_audit_or_die(*world, opt, "at end of run");
+  audit_or_die(*world, opt, "at end of run");
 
   const std::string report = world->report();
   std::printf("%s", report.c_str());
-  std::printf("workload soak complete: %zu checkpoints, %zu kill/restore cycles%s\n",
+  std::printf("%s complete: %zu checkpoints, %zu kill/restore cycles%s\n", labels.title,
               checkpoints, kills, opt.audit ? ", audits clean" : "");
 
   if (opt.verify) {
@@ -354,89 +349,24 @@ int main(int argc, char** argv) {
   cfg.overlay_landmarks = opt.landmarks;
   std::string dsl_storage;
   const Scenario scenario = resolve_scenario(opt, cfg, dsl_storage);
-
-  if (opt.workload) {
-    try {
-      return run_workload_soak(opt, scenario);
-    } catch (const snap::SnapshotError& err) {
-      std::fprintf(stderr, "snapshot error: %s\n", err.what());
-      return 1;
-    } catch (const std::exception& err) {
-      std::fprintf(stderr, "error: %s\n", err.what());
-      return 1;
-    }
-  }
+  const std::string name(scenario.name);
 
   try {
-    std::string expected;
-    if (opt.verify) {
-      SimWorld reference(scenario, opt.scheme, cfg, opt.seed);
-      reference.run_to_end();
-      expected = reference.report();
-      std::printf("verify: uninterrupted reference run complete (%zu sends)\n",
-                  reference.total_sends());
+    if (opt.workload) {
+      WorkloadConfig wcfg;
+      wcfg.cell.seed = opt.seed;
+      if (opt.measured < wcfg.cell.measured) wcfg.spec.population /= 4.0;  // --quick
+      const std::string banner = name + " / " + std::string(to_string(opt.policy));
+      return run_soak(opt, scenario, {"workload soak", "packet", "soak-workload-"}, banner, [&] {
+        return std::make_unique<WorkloadWorld>(scenario, opt.policy, wcfg, opt.seed);
+      });
     }
-
-    auto world = std::make_unique<SimWorld>(scenario, opt.scheme, cfg, opt.seed);
-    const std::size_t total = world->total_sends();
-    std::printf("soak: %s / %s, %zu nodes, %zu sends, checkpoint every %zu, kill every %zu%s\n",
-                std::string(scenario.name).c_str(), std::string(to_string(opt.scheme)).c_str(),
-                opt.synth_nodes > 0 ? opt.synth_nodes : opt.nodes, total, opt.checkpoint_every,
-                opt.kill_every,
-                opt.snapshot_dir.empty() ? " (snapshots in memory)" : "");
-
-    std::size_t checkpoints = 0;
-    std::size_t kills = 0;
-    for (std::size_t next = opt.checkpoint_every; next < total; next += opt.checkpoint_every) {
-      world->advance_to(next);
-      audit_or_die(*world, opt, ("at send " + std::to_string(next)).c_str());
-      ++checkpoints;
-
-      snap::Encoder e;
-      world->save_state(e);
-      const std::uint64_t fp = world->fingerprint();
-      std::vector<std::uint8_t> file;
-      std::string path;
-      if (opt.snapshot_dir.empty()) {
-        file = snap::seal(fp, e.bytes());
-      } else {
-        path = opt.snapshot_dir + "/soak-" + std::string(scenario.name) + "-" +
-               std::to_string(next) + ".snap";
-        snap::write_file(path, fp, e.bytes());
-      }
-
-      if (opt.kill_every != 0 && checkpoints % opt.kill_every == 0) {
-        world.reset();  // the crash
-        auto restored = std::make_unique<SimWorld>(scenario, opt.scheme, cfg, opt.seed);
-        const std::vector<std::uint8_t> payload =
-            path.empty() ? snap::unseal(file, restored->fingerprint())
-                         : snap::read_file(path, restored->fingerprint());
-        snap::Decoder d(payload);
-        restored->restore_state(d);
-        audit_or_die(*restored, opt, ("after restore at send " + std::to_string(next)).c_str());
-        world = std::move(restored);
-        ++kills;
-        std::printf("  killed and restored at send %zu\n", next);
-      }
-    }
-    world->run_to_end();
-    audit_or_die(*world, opt, "at end of run");
-
-    const std::string report = world->report();
-    std::printf("%s", report.c_str());
-    std::printf("soak complete: %zu checkpoints, %zu kill/restore cycles%s\n", checkpoints,
-                kills, opt.audit ? ", audits clean" : "");
-
-    if (opt.verify) {
-      if (report != expected) {
-        std::fprintf(stderr,
-                     "VERIFY FAILED: restored run diverged from the uninterrupted run\n"
-                     "--- uninterrupted ---\n%s--- soak ---\n%s",
-                     expected.c_str(), report.c_str());
-        return 1;
-      }
-      std::printf("verify: report byte-identical to the uninterrupted run\n");
-    }
+    const std::string banner =
+        name + " / " + std::string(to_string(opt.scheme)) + ", " +
+        std::to_string(opt.synth_nodes > 0 ? opt.synth_nodes : opt.nodes) + " nodes";
+    return run_soak(opt, scenario, {"soak", "send", "soak-"}, banner, [&] {
+      return std::make_unique<SimWorld>(scenario, opt.scheme, cfg, opt.seed);
+    });
   } catch (const snap::SnapshotError& err) {
     std::fprintf(stderr, "snapshot error: %s\n", err.what());
     return 1;
@@ -444,5 +374,4 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", err.what());
     return 1;
   }
-  return 0;
 }
