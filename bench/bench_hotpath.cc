@@ -37,6 +37,7 @@
 #include <cstring>
 #include <limits>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>

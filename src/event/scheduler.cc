@@ -36,6 +36,8 @@ EventHandle Scheduler::schedule_entry(TimePoint at, std::uint64_t seq, Callback 
     pool.slots.emplace_back();
   }
   internal::EventSlot& sl = pool.slots[slot];
+  sl.at = at;
+  sl.seq = seq;
   sl.cb = std::move(cb);
   heap_.push_back(Entry{at, seq, sl.gen, slot});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
@@ -92,15 +94,12 @@ bool Scheduler::step() {
 bool Scheduler::pending_entry(const EventHandle& h, TimePoint* at, std::uint64_t* seq) const {
   const auto pool = h.pool_.lock();
   if (pool.get() != pool_.get()) return false;  // foreign or inert handle
-  if (h.slot_ >= pool->slots.size() || pool->slots[h.slot_].gen != h.gen_) return false;
-  for (const Entry& e : heap_) {
-    if (e.slot == h.slot_ && e.gen == h.gen_) {
-      *at = e.at;
-      *seq = e.seq;
-      return true;
-    }
-  }
-  return false;
+  if (h.slot_ >= pool->slots.size()) return false;
+  const internal::EventSlot& sl = pool->slots[h.slot_];
+  if (sl.gen != h.gen_) return false;
+  *at = sl.at;
+  *seq = sl.seq;
+  return true;
 }
 
 void Scheduler::restore_clock(TimePoint now, std::uint64_t next_seq, std::uint64_t dispatched) {
@@ -137,6 +136,10 @@ void Scheduler::check_invariants(std::vector<std::string>& out) const {
     } else if (e.gen > pool.slots[e.slot].gen) {
       out.push_back("scheduler: entry generation " + std::to_string(e.gen) +
                     " ahead of its slot's generation");
+    } else if (e.gen == pool.slots[e.slot].gen &&
+               (pool.slots[e.slot].at != e.at || pool.slots[e.slot].seq != e.seq)) {
+      out.push_back("scheduler: live entry seq " + std::to_string(e.seq) +
+                    " disagrees with the (at, seq) its slot records");
     }
   }
   if (pool.free_list.size() + heap_.size() < pool.slots.size()) {
@@ -146,37 +149,6 @@ void Scheduler::check_invariants(std::vector<std::string>& out) const {
                   " slots, " + std::to_string(pool.free_list.size()) + " free, " +
                   std::to_string(heap_.size()) + " queued)");
   }
-}
-
-PeriodicTask::PeriodicTask(Scheduler& sched, Duration period, Duration initial_delay, Tick tick)
-    : sched_(sched), period_(period), tick_(std::move(tick)) {
-  assert(period > Duration::zero());
-  arm(initial_delay);
-}
-
-PeriodicTask::~PeriodicTask() { stop(); }
-
-void PeriodicTask::stop() {
-  running_ = false;
-  handle_.cancel();
-}
-
-Scheduler::Callback PeriodicTask::tick_callback() {
-  return [this] {
-    if (!running_) return;
-    tick_();
-    if (running_) arm(period_);
-  };
-}
-
-void PeriodicTask::arm(Duration delay) {
-  handle_ = sched_.schedule_after(delay, tick_callback());
-}
-
-void PeriodicTask::restore_arm(TimePoint at, std::uint64_t seq) {
-  handle_.cancel();
-  running_ = true;
-  handle_ = sched_.schedule_at_restored(at, seq, tick_callback());
 }
 
 }  // namespace ronpath

@@ -16,13 +16,16 @@
 // Handles stay safe after the event fires, after cancel, and even after
 // the Scheduler itself is destroyed: they hold a weak reference to the
 // slot pool plus the generation they armed, so a stale cancel simply
-// misses.
+// misses. Each slot also keeps the (at, seq) it was armed with, so a
+// checkpoint reads a pending event's re-arm descriptor in O(1).
+//
+// Repetition is the owner's job: a periodic process re-arms itself from
+// its own callback (the overlay's probe ticks do, one per probed edge).
 
 #ifndef RONPATH_EVENT_SCHEDULER_H_
 #define RONPATH_EVENT_SCHEDULER_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,6 +41,8 @@ namespace internal {
 
 struct EventSlot {
   std::uint64_t gen = 0;  // bumped on fire and on cancel
+  TimePoint at;           // the (at, seq) this generation was armed with
+  std::uint64_t seq = 0;
   InlineCallback cb;
 };
 
@@ -106,9 +111,8 @@ class Scheduler {
   // order exactly, including FIFO ties — the property that makes restored
   // runs byte-identical to uninterrupted ones.
 
-  // Looks up the heap position of a still-pending event; returns false if
-  // the handle is inert, fired, or cancelled. O(pending) scan — this runs
-  // at checkpoint time, not on the event hot path.
+  // Reads the (at, seq) of a still-pending event from its slot; returns
+  // false if the handle is inert, foreign, fired, or cancelled. O(1).
   [[nodiscard]] bool pending_entry(const EventHandle& h, TimePoint* at,
                                    std::uint64_t* seq) const;
 
@@ -118,8 +122,10 @@ class Scheduler {
   // events via schedule_at_restored.
   void restore_clock(TimePoint now, std::uint64_t next_seq, std::uint64_t dispatched);
 
-  // Re-arms an event with an explicit sequence number (must be < the
-  // restored next_seq); used only during restore.
+  // Re-arms an event with an explicit sequence number; used only during
+  // restore. The caller must have checked at >= now() and seq <
+  // next_seq() (the overlay, its only caller, throws SnapshotError on
+  // either), and that no two re-armed events share a seq.
   EventHandle schedule_at_restored(TimePoint at, std::uint64_t seq, Callback cb);
 
   // Invariant auditor: heap property, slot/generation consistency,
@@ -148,36 +154,6 @@ class Scheduler {
   std::uint64_t dispatched_ = 0;
   std::vector<Entry> heap_;  // std::push_heap/pop_heap min-heap via Later
   std::shared_ptr<internal::SlotPool> pool_;
-};
-
-// Repeating task: reschedules itself with a fixed or caller-computed period
-// until stop() is called or the owning Scheduler stops being run.
-class PeriodicTask {
- public:
-  using Tick = std::function<void()>;
-  // Fixed period; first fire after `initial_delay`.
-  PeriodicTask(Scheduler& sched, Duration period, Duration initial_delay, Tick tick);
-  ~PeriodicTask();
-  PeriodicTask(const PeriodicTask&) = delete;
-  PeriodicTask& operator=(const PeriodicTask&) = delete;
-
-  void stop();
-  [[nodiscard]] bool running() const { return running_; }
-
-  // Snapshot support: the handle of the next pending tick (for saving its
-  // re-arm descriptor) and explicit re-arming at a saved (at, seq).
-  [[nodiscard]] const EventHandle& handle() const { return handle_; }
-  void restore_arm(TimePoint at, std::uint64_t seq);
-
- private:
-  void arm(Duration delay);
-  [[nodiscard]] Scheduler::Callback tick_callback();
-
-  Scheduler& sched_;
-  Duration period_;
-  Tick tick_;
-  EventHandle handle_;
-  bool running_ = true;
 };
 
 }  // namespace ronpath

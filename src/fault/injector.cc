@@ -1,6 +1,7 @@
 #include "fault/injector.h"
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -21,7 +22,7 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, const Topology& topo
                              Duration horizon)
     : schedule_(schedule) {
   const std::size_t n = topology.size();
-  component_windows_.resize(topology.component_count());
+  std::map<std::size_t, Windows> component_windows;  // faulted ids only
   blackhole_windows_.resize(n);
   lsa_windows_.resize(n);
   crash_windows_.resize(n);
@@ -44,6 +45,11 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, const Topology& topo
         if (f.scope == FaultScope::kLink) {
           require_site(f.link_src, n, "link endpoint");
           require_site(f.link_dst, n, "link endpoint");
+          if (f.link_src == f.link_dst) {
+            throw std::runtime_error("fault schedule: link " + std::to_string(f.link_src) +
+                                     "->" + std::to_string(f.link_dst) +
+                                     " joins a site to itself");
+          }
           components.push_back(topology.core_index(f.link_src, f.link_dst));
         } else {
           for (NodeId site : f.sites) {
@@ -70,7 +76,7 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, const Topology& topo
     }
 
     for (TimePoint s : starts) {
-      for (std::size_t ci : components) add_window(component_windows_[ci], s, f.duration);
+      for (std::size_t ci : components) add_window(component_windows[ci], s, f.duration);
       if (node_table) {
         for (NodeId node : f.sites) {
           require_site(node, n, "node");
@@ -80,6 +86,10 @@ FaultInjector::FaultInjector(const FaultSchedule& schedule, const Topology& topo
     }
   }
 
+  for (auto& [id, windows] : component_windows) {
+    component_ids_.push_back(id);
+    component_windows_.push_back(std::move(windows));
+  }
   merged_window_count_ += finalize(component_windows_);
   merged_window_count_ += finalize(blackhole_windows_);
   merged_window_count_ += finalize(lsa_windows_);
@@ -119,7 +129,9 @@ bool FaultInjector::covered(const Windows& w, TimePoint t) {
 }
 
 bool FaultInjector::component_down(std::size_t component, TimePoint t) const {
-  return covered(component_windows_[component], t);
+  const auto it = std::lower_bound(component_ids_.begin(), component_ids_.end(), component);
+  return it != component_ids_.end() && *it == component &&
+         covered(component_windows_[static_cast<std::size_t>(it - component_ids_.begin())], t);
 }
 
 bool FaultInjector::probe_blackhole(NodeId node, TimePoint t) const {
@@ -134,10 +146,6 @@ bool FaultInjector::node_crashed(NodeId node, TimePoint t) const {
   return node < crash_windows_.size() && covered(crash_windows_[node], t);
 }
 
-std::size_t FaultInjector::faulted_component_count() const {
-  std::size_t count = 0;
-  for (const Windows& w : component_windows_) count += w.empty() ? 0 : 1;
-  return count;
-}
+std::size_t FaultInjector::faulted_component_count() const { return component_ids_.size(); }
 
 }  // namespace ronpath

@@ -3,9 +3,13 @@
 //
 // Compilation expands every spec - including periodic ones, up to the
 // horizon - into per-component and per-node sorted, merged activation
-// windows. Queries are pure binary searches over immutable data, so the
-// injector is safe to share by const reference and its answers are a
-// deterministic function of (schedule, topology, horizon) alone.
+// windows. Component windows are sparse: only the handful of faulted
+// component ids are stored, in a sorted list beside their windows, so
+// the injector costs nothing per id of the n^2 component space and a
+// hop's query is one search over that list. Queries are pure binary
+// searches over immutable data, so the injector is safe to share by
+// const reference and its answers are a deterministic function of
+// (schedule, topology, horizon) alone.
 //
 // Integration points:
 //   Network::set_fault_hook        - component blackouts + probe blackhole
@@ -29,8 +33,9 @@ namespace ronpath {
 class FaultInjector final : public FaultHook {
  public:
   // Throws std::runtime_error when a spec references a site/node id
-  // outside the topology. `horizon` bounds periodic expansion (use the
-  // run span plus slack, as with Network's own pregeneration).
+  // outside the topology or a link from a site to itself. `horizon`
+  // bounds periodic expansion (use the run span plus slack, as with
+  // Network's own pregeneration).
   FaultInjector(const FaultSchedule& schedule, const Topology& topology, Duration horizon);
 
   // FaultHook (consulted by Network::transmit).
@@ -65,7 +70,8 @@ class FaultInjector final : public FaultHook {
 
   FaultSchedule schedule_;
   std::int64_t merged_window_count_ = 0;
-  std::vector<Windows> component_windows_;  // [component index]
+  std::vector<std::size_t> component_ids_;   // faulted components, ascending
+  std::vector<Windows> component_windows_;   // [rank in component_ids_]
   std::vector<Windows> blackhole_windows_;  // [node]
   std::vector<Windows> lsa_windows_;        // [node]
   std::vector<Windows> crash_windows_;      // [node]

@@ -1,24 +1,41 @@
 #include "overlay/estimator.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <stdexcept>
 
 #include "snapshot/codec.h"
 
 namespace ronpath {
 
-void WindowLossEstimator::record(bool lost) {
-  outcomes_.push_back(lost);
-  if (lost) ++lost_in_window_;
-  if (outcomes_.size() > window_) {
-    if (outcomes_.front()) --lost_in_window_;
-    outcomes_.pop_front();
+WindowLossEstimator::WindowLossEstimator(std::size_t window)
+    : window_(static_cast<std::uint8_t>(window)) {
+  if (window < 1 || window > kMaxWindow) {
+    throw std::invalid_argument("loss_window must be in [1, " + std::to_string(kMaxWindow) +
+                                "], got " + std::to_string(window));
   }
 }
 
+void WindowLossEstimator::set(std::size_t pos, bool lost) {
+  const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+  std::uint64_t& word = bits_[pos / 64];
+  word = lost ? (word | bit) : (word & ~bit);
+}
+
+void WindowLossEstimator::record(bool lost) {
+  if (count_ == window_) {  // full: the oldest outcome leaves first
+    if (lost_at(0)) --lost_;
+    head_ = static_cast<std::uint8_t>((head_ + 1) % kMaxWindow);
+    --count_;
+  }
+  set((head_ + count_) % kMaxWindow, lost);
+  ++count_;
+  if (lost) ++lost_;
+}
+
 double WindowLossEstimator::loss() const {
-  if (outcomes_.empty()) return 0.0;
-  return static_cast<double>(lost_in_window_) / static_cast<double>(outcomes_.size());
+  if (count_ == 0) return 0.0;
+  return static_cast<double>(lost_) / static_cast<double>(count_);
 }
 
 void EwmaLossEstimator::record(bool lost) {
@@ -75,19 +92,16 @@ void LinkEstimator::record_followup(bool lost, TimePoint now) {
 void LinkEstimator::save_state(snap::Encoder& e) const {
   e.tag("LEST");
   // Window outcomes, bit-packed oldest-first.
-  e.u64(loss_.outcomes_.size());
+  e.u64(loss_.count_);
   std::uint8_t byte = 0;
-  int filled = 0;
-  for (const bool lost : loss_.outcomes_) {
-    byte = static_cast<std::uint8_t>(byte | ((lost ? 1u : 0u) << filled));
-    if (++filled == 8) {
+  for (std::size_t k = 0; k < loss_.count_; ++k) {
+    byte = static_cast<std::uint8_t>(byte | ((loss_.lost_at(k) ? 1u : 0u) << (k % 8)));
+    if (k % 8 == 7 || k + 1 == loss_.count_) {
       e.u8(byte);
       byte = 0;
-      filled = 0;
     }
   }
-  if (filled > 0) e.u8(byte);
-  e.u64(loss_.lost_in_window_);
+  e.u64(loss_.lost_);
   e.f64(ewma_.value_);
   e.b(ewma_.have_);
   e.f64(latency_.value_ms_);
@@ -107,13 +121,25 @@ void LinkEstimator::restore_state(snap::Decoder& d) {
                               " outcomes but is configured for " +
                               std::to_string(loss_.window_));
   }
-  loss_.outcomes_.clear();
-  std::uint8_t byte = 0;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (i % 8 == 0) byte = d.u8();
-    loss_.outcomes_.push_back((byte >> (i % 8)) & 1);
+  // The restored ring starts at position 0, so the packed bytes are the
+  // ring words byte for byte.
+  loss_.bits_ = {};
+  for (std::uint64_t i = 0; i < (n + 7) / 8; ++i) {
+    loss_.bits_[i / 8] |= static_cast<std::uint64_t>(d.u8()) << (8 * (i % 8));
   }
-  loss_.lost_in_window_ = d.u64();
+  if (n % 8 != 0 && (loss_.bits_[n / 64] >> (n % 64)) != 0) {
+    throw snap::SnapshotError("snapshot: loss window padding bits set");
+  }
+  loss_.head_ = 0;
+  loss_.count_ = static_cast<std::uint8_t>(n);
+  loss_.lost_ = static_cast<std::uint8_t>(std::popcount(loss_.bits_[0]) +
+                                          std::popcount(loss_.bits_[1]));
+  const std::uint64_t lost = d.u64();
+  if (lost != loss_.lost_) {
+    throw snap::SnapshotError("snapshot: loss window records " + std::to_string(lost) +
+                              " lost outcomes but its bits hold " +
+                              std::to_string(loss_.lost_));
+  }
   ewma_.value_ = d.f64();
   ewma_.have_ = d.b();
   latency_.value_ms_ = d.f64();
@@ -127,12 +153,12 @@ void LinkEstimator::restore_state(snap::Decoder& d) {
 
 void LinkEstimator::check_invariants(const std::string& who, TimePoint now,
                                      std::vector<std::string>& out) const {
-  if (loss_.outcomes_.size() > loss_.window_) {
+  if (loss_.count_ > loss_.window_ || loss_.head_ >= WindowLossEstimator::kMaxWindow) {
     out.push_back(who + ": loss window overfull");
   }
   std::size_t lost = 0;
-  for (const bool l : loss_.outcomes_) lost += l ? 1 : 0;
-  if (lost != loss_.lost_in_window_) {
+  for (std::size_t k = 0; k < loss_.count_; ++k) lost += loss_.lost_at(k) ? 1 : 0;
+  if (lost != loss_.lost_) {
     out.push_back(who + ": lost_in_window counter out of sync with the window contents");
   }
   const double l = loss();

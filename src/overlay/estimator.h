@@ -6,13 +6,16 @@
 // followed by four consecutive lost follow-up probes, and recovers on the
 // next successful probe. A WindowLossEstimator/EwmaLossEstimator pair
 // exists so the window-vs-EWMA design choice can be ablated.
+//
+// Every estimator is a flat value with no heap allocation: the loss
+// window is a 128-bit ring, so a 300-node overlay's 10k link estimators
+// sit in one contiguous vector.
 
 #ifndef RONPATH_OVERLAY_ESTIMATOR_H_
 #define RONPATH_OVERLAY_ESTIMATOR_H_
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -25,21 +28,35 @@ class Encoder;
 class Decoder;
 }  // namespace snap
 
-// Average loss over a sliding window of the most recent probe outcomes.
+// Average loss over a sliding window of the most recent probe outcomes,
+// held in a fixed 128-bit ring: outcome k (0 = oldest) is bit
+// (head + k) mod 128.
 class WindowLossEstimator {
  public:
-  explicit WindowLossEstimator(std::size_t window = 100) : window_(window) {}
+  static constexpr std::size_t kMaxWindow = 128;
+
+  // Throws std::invalid_argument unless 1 <= window <= kMaxWindow.
+  explicit WindowLossEstimator(std::size_t window = 100);
 
   void record(bool lost);
   // Loss estimate in [0,1]; optimistic 0 before any samples.
   [[nodiscard]] double loss() const;
-  [[nodiscard]] std::size_t samples() const { return outcomes_.size(); }
+  [[nodiscard]] std::size_t samples() const { return count_; }
+  // Outcome k of the window, oldest first (k < samples()).
+  [[nodiscard]] bool lost_at(std::size_t k) const {
+    const std::size_t pos = (head_ + k) % kMaxWindow;
+    return ((bits_[pos / 64] >> (pos % 64)) & 1u) != 0;
+  }
 
  private:
   friend class LinkEstimator;  // snapshot save/restore reaches the raw window
-  std::size_t window_;
-  std::deque<bool> outcomes_;
-  std::size_t lost_in_window_ = 0;
+  void set(std::size_t pos, bool lost);
+
+  std::array<std::uint64_t, kMaxWindow / 64> bits_{};
+  std::uint8_t window_;
+  std::uint8_t head_ = 0;   // ring position of the oldest outcome
+  std::uint8_t count_ = 0;  // outcomes held, <= window_
+  std::uint8_t lost_ = 0;   // lost outcomes held
 };
 
 // Exponentially weighted loss average (ablation alternative).
@@ -114,7 +131,9 @@ class LinkEstimator {
   [[nodiscard]] const std::array<std::int64_t, 6>& loss_runs() const { return loss_runs_; }
 
   // Snapshot support: full mutable state (window outcomes, EWMA values,
-  // down flag, run counters). restore_state expects identical config.
+  // down flag, run counters). restore_state expects identical config and
+  // throws snap::SnapshotError when the saved lost count is not the
+  // number of lost outcomes in the saved window.
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 

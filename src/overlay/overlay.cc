@@ -61,6 +61,11 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
   }
 }
 
+OverlayNetwork::~OverlayNetwork() {
+  for (EventHandle& tick : probe_ticks_) tick.cancel();
+  for (PendingFollowup& f : followups_) f.handle.cancel();
+}
+
 std::size_t OverlayNetwork::link_index(NodeId src, NodeId dst) const {
   assert(src < n_ && dst < n_ && src != dst);
   return static_cast<std::size_t>(src) * n_ + dst;
@@ -80,14 +85,13 @@ std::array<std::int64_t, 6> OverlayNetwork::loss_run_counts() const {
 }
 
 std::size_t OverlayNetwork::state_bytes() const {
-  // Approximate: value sizes of the per-edge and per-node containers plus
-  // the estimator windows. Good enough to demonstrate O(n * fanout)
-  // scaling next to the process-level RSS bench_scale also reports.
+  // Approximate: value sizes of the per-edge and per-node containers
+  // (the estimators hold their loss windows inline). Good enough to
+  // demonstrate O(n * fanout) scaling next to the process-level RSS
+  // bench_scale also reports.
   std::size_t bytes = links_.capacity() * sizeof(LinkEstimator);
-  bytes += links_.size() * (cfg_.loss_window / 8);  // probe-window bits
   bytes += neighbors().edge_count() * sizeof(LinkMetrics);
-  bytes += probe_tasks_.size() *
-           (sizeof(PeriodicTask) + sizeof(std::unique_ptr<PeriodicTask>));
+  bytes += probe_ticks_.capacity() * sizeof(EventHandle);
   bytes += neighbors().edge_count() * sizeof(NodeId) + (n_ + 1) * sizeof(std::size_t);
   bytes += n_ * (sizeof(ControlMeter) + sizeof(std::uint32_t) + sizeof(std::int64_t) +
                  2 * sizeof(std::uint32_t));
@@ -109,10 +113,10 @@ void OverlayNetwork::set_fault_injector(const FaultInjector* injector) {
 void OverlayNetwork::start() {
   if (started_) return;
   started_ = true;
+  probe_ticks_.reserve(neighbors().edge_count());
   for (NodeId s = 0; s < n_; ++s) {
     const auto row = neighbors().neighbors(s);
     const std::uint32_t stride = stride_[s];
-    const Duration period = cfg_.probe_interval * static_cast<std::int64_t>(stride);
     for (std::size_t rank = 0; rank < row.size(); ++rank) {
       const NodeId d = row[rank];
       // Stagger initial probes uniformly across the interval so the mesh
@@ -123,10 +127,21 @@ void OverlayNetwork::start() {
           rng_.fork("stagger").fork(link_index(s, d)).uniform_duration(Duration::zero(),
                                                                        cfg_.probe_interval) +
           cfg_.probe_interval * static_cast<std::int64_t>(rank % stride);
-      probe_tasks_.push_back(std::make_unique<PeriodicTask>(
-          sched_, period, offset, [this, s, d] { probe_once(s, d); }));
+      const auto edge = static_cast<std::uint32_t>(probe_ticks_.size());
+      probe_ticks_.push_back(sched_.schedule_after(offset, tick_callback(edge, s, d)));
     }
   }
+}
+
+Scheduler::Callback OverlayNetwork::tick_callback(std::uint32_t edge, NodeId src, NodeId dst) {
+  return [this, edge, src, dst] { probe_tick(edge, src, dst); };
+}
+
+void OverlayNetwork::probe_tick(std::uint32_t edge, NodeId src, NodeId dst) {
+  probe_once(src, dst);
+  // Re-armed after the probe, so a follow-up it arms takes the earlier seq.
+  probe_ticks_[edge] = sched_.schedule_after(
+      cfg_.probe_interval * static_cast<std::int64_t>(stride_[src]), tick_callback(edge, src, dst));
 }
 
 void OverlayNetwork::probe_once(NodeId src, NodeId dst) {
@@ -297,13 +312,12 @@ void OverlayNetwork::save_state(snap::Encoder& e) const {
     e.i64(m.suppressed);
   }
 
-  // Pending probe ticks: one re-arm descriptor per task, in the stable
-  // construction order (CSR edge order).
-  e.u64(probe_tasks_.size());
-  for (const auto& task : probe_tasks_) {
+  // Pending probe ticks: one re-arm descriptor per edge, in CSR edge order.
+  e.u64(probe_ticks_.size());
+  for (const EventHandle& tick : probe_ticks_) {
     TimePoint at;
     std::uint64_t seq = 0;
-    const bool pending = sched_.pending_entry(task->handle(), &at, &seq);
+    const bool pending = sched_.pending_entry(tick, &at, &seq);
     e.b(pending);
     if (pending) {
       e.time(at);
@@ -356,41 +370,72 @@ void OverlayNetwork::restore_state(snap::Decoder& d) {
     }
   }
 
-  const std::uint64_t n_tasks = d.u64();
-  if (n_tasks != probe_tasks_.size()) {
-    throw snap::SnapshotError("snapshot: probe task count mismatch (snapshot has " +
-                              std::to_string(n_tasks) + ", overlay has " +
-                              std::to_string(probe_tasks_.size()) + ")");
+  // Every re-armed event must lie at or after the restored clock and
+  // below its next_seq, and no two may share a seq: the heap orders by
+  // (at, seq), so any of these would reorder or rewind the run.
+  std::vector<std::uint64_t> seqs;
+  const auto rearm = [&](const char* what, Scheduler::Callback cb) {
+    const TimePoint at = d.time();
+    const std::uint64_t seq = d.u64();
+    if (at < sched_.now()) {
+      throw snap::SnapshotError(std::string("snapshot: ") + what + " at " +
+                                at.since_epoch().to_string() + " precedes the restored clock " +
+                                sched_.now().since_epoch().to_string());
+    }
+    if (seq >= sched_.next_seq()) {
+      throw snap::SnapshotError(std::string("snapshot: ") + what + " seq " +
+                                std::to_string(seq) + " >= next_seq " +
+                                std::to_string(sched_.next_seq()));
+    }
+    seqs.push_back(seq);
+    return sched_.schedule_at_restored(at, seq, std::move(cb));
+  };
+
+  const std::uint64_t n_ticks = d.u64();
+  if (n_ticks != probe_ticks_.size()) {
+    throw snap::SnapshotError("snapshot: probe tick count mismatch (snapshot has " +
+                              std::to_string(n_ticks) + ", overlay has " +
+                              std::to_string(probe_ticks_.size()) + ")");
   }
-  for (const auto& task : probe_tasks_) {
-    if (d.b()) {
-      const TimePoint at = d.time();
-      const std::uint64_t seq = d.u64();
-      task->restore_arm(at, seq);
-    } else {
-      task->stop();
+  seqs.reserve(probe_ticks_.size());
+  for (NodeId s = 0; started_ && s < n_; ++s) {  // ticks exist once started
+    const auto row = neighbors().neighbors(s);
+    const auto row_begin = static_cast<std::uint32_t>(neighbors().row_begin(s));
+    for (std::uint32_t rank = 0; rank < row.size(); ++rank) {
+      const std::uint32_t edge = row_begin + rank;
+      probe_ticks_[edge].cancel();
+      probe_ticks_[edge] =
+          d.b() ? rearm("probe tick", tick_callback(edge, s, row[rank])) : EventHandle{};
     }
   }
 
   followups_.clear();
   const std::uint64_t n_follow = d.count(40);
   for (std::uint64_t i = 0; i < n_follow; ++i) {
-    PendingFollowup f;
-    f.src = static_cast<NodeId>(d.u64());
-    f.dst = static_cast<NodeId>(d.u64());
-    f.remaining = static_cast<int>(d.i64());
-    if (f.src >= n_ || f.dst >= n_ || f.src == f.dst || f.remaining < 1) {
+    // Checked before narrowing: a chain runs on a probed edge with 1 to
+    // `followups` probes left.
+    const std::uint64_t src64 = d.u64();
+    const std::uint64_t dst64 = d.u64();
+    const std::int64_t remaining64 = d.i64();
+    if (src64 >= n_ || dst64 >= n_ ||
+        !neighbors().adjacent(static_cast<NodeId>(src64), static_cast<NodeId>(dst64)) ||
+        remaining64 < 1 || remaining64 > cfg_.followups) {
       throw snap::SnapshotError("snapshot: malformed follow-up descriptor");
     }
-    const TimePoint at = d.time();
-    const std::uint64_t seq = d.u64();
-    const NodeId src = f.src;
-    const NodeId dst = f.dst;
-    const int remaining = f.remaining;
-    f.handle = sched_.schedule_at_restored(at, seq, [this, src, dst, remaining] {
+    PendingFollowup f;
+    f.src = static_cast<NodeId>(src64);
+    f.dst = static_cast<NodeId>(dst64);
+    f.remaining = static_cast<int>(remaining64);
+    f.handle = rearm("follow-up", [this, src = f.src, dst = f.dst, remaining = f.remaining] {
       send_followup(src, dst, remaining);
     });
     followups_.push_back(std::move(f));
+  }
+  std::sort(seqs.begin(), seqs.end());
+  const auto repeat = std::adjacent_find(seqs.begin(), seqs.end());
+  if (repeat != seqs.end()) {
+    throw snap::SnapshotError("snapshot: two overlay events share seq " +
+                              std::to_string(*repeat));
   }
 }
 
@@ -411,8 +456,8 @@ void OverlayNetwork::check_invariants(TimePoint now, std::vector<std::string>& o
     host_failures_[i].check_invariants("host-failure " + std::to_string(i), out);
   }
   if (probes_sent_ < 0) out.push_back("overlay: negative probe counter");
-  if (started_ && probe_tasks_.size() != neighbors().edge_count()) {
-    out.push_back("overlay: probe task count does not cover the mesh");
+  if (started_ && probe_ticks_.size() != neighbors().edge_count()) {
+    out.push_back("overlay: probe tick count does not cover the mesh");
   }
   for (NodeId i = 0; i < n_; ++i) {
     const ControlMeter& m = meters_[i];

@@ -32,6 +32,13 @@
 // At fanout >= n-1 every stride is 1, no mirrors are written, and every
 // byte of behavior reduces to the legacy full mesh — the correctness
 // anchor pinned by the scale tests.
+//
+// Control-plane layout: every per-edge record is flat and indexed by the
+// edge's CSR rank — the estimators (whose loss windows are inline bit
+// rings), the link-state entries and the probe ticks. A probe tick is one
+// scheduler event whose callback holds (this, edge, src, dst) inline and
+// re-arms itself one stride period later; its handle sits in a vector of
+// EventHandle, so a checkpoint reads every tick's (at, seq) in O(1).
 
 #ifndef RONPATH_OVERLAY_OVERLAY_H_
 #define RONPATH_OVERLAY_OVERLAY_H_
@@ -124,7 +131,14 @@ struct OverlaySendResult {
 
 class OverlayNetwork {
  public:
+  // Throws std::invalid_argument when cfg.loss_window is outside
+  // [1, WindowLossEstimator::kMaxWindow].
   OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg, Rng rng);
+  // Cancels the pending probe ticks and follow-ups, which call back into
+  // the overlay through its address (so it is neither copied nor moved).
+  ~OverlayNetwork();
+  OverlayNetwork(const OverlayNetwork&) = delete;
+  OverlayNetwork& operator=(const OverlayNetwork&) = delete;
 
   // Begins the probing processes (idempotent).
   void start();
@@ -174,7 +188,7 @@ class OverlayNetwork {
   [[nodiscard]] std::array<std::int64_t, 6> loss_run_counts() const;
 
   // Approximate resident bytes of the overlay's per-link state
-  // (estimators + link-state entries + probe tasks): the O(n * fanout)
+  // (estimators + link-state entries + probe ticks): the O(n * fanout)
   // quantity bench_scale reports next to process RSS.
   [[nodiscard]] std::size_t state_bytes() const;
 
@@ -183,18 +197,20 @@ class OverlayNetwork {
   // constructed and started overlay whose scheduler has already been
   // reset via Scheduler::restore_clock, and re-arms those events with
   // their original sequence numbers so firing order (including FIFO
-  // ties) is preserved exactly.
+  // ties) is preserved exactly. Restore throws snap::SnapshotError for a
+  // descriptor no run can produce: one behind the restored clock, one at
+  // or past its next_seq, a seq that two descriptors share, or a
+  // follow-up off the probed graph or with more than cfg.followups
+  // probes left.
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 
   // Invariant auditor: delegates to routers, estimators, the link-state
-  // table and host-failure processes, then checks probe-task/follow-up
+  // table and host-failure processes, then checks probe-tick/follow-up
   // bookkeeping and control-meter consistency.
   void check_invariants(TimePoint now, std::vector<std::string>& out) const;
 
  private:
-  struct LinkProber;
-
   // A scheduled follow-up probe: bookkeeping mirror of the closure held
   // by the scheduler, so checkpoints can serialize the chain. Entries
   // whose event has fired are pruned lazily on the next arm/save.
@@ -205,6 +221,10 @@ class OverlayNetwork {
     EventHandle handle;
   };
 
+  // Probes (src, dst) once, then re-arms the edge's tick one stride
+  // period later.
+  void probe_tick(std::uint32_t edge, NodeId src, NodeId dst);
+  [[nodiscard]] Scheduler::Callback tick_callback(std::uint32_t edge, NodeId src, NodeId dst);
   void probe_once(NodeId src, NodeId dst);
   void send_followup(NodeId src, NodeId dst, int remaining);
   // Schedules send_followup(src, dst, remaining) after followup_spacing
@@ -229,7 +249,7 @@ class OverlayNetwork {
   std::vector<std::int64_t> budget_;    // per node, bytes per round
   std::vector<ControlMeter> meters_;    // per node
   bool capped_ = false;
-  std::vector<std::unique_ptr<PeriodicTask>> probe_tasks_;  // CSR edge order
+  std::vector<EventHandle> probe_ticks_;  // one per directed edge, CSR order
   std::vector<PendingFollowup> followups_;
   std::vector<LazyIntervalProcess> host_failures_;
   const FaultInjector* fault_ = nullptr;

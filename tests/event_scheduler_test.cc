@@ -217,39 +217,30 @@ TEST(Scheduler, StepFiresOne) {
   EXPECT_EQ(fired, 2);
 }
 
-TEST(PeriodicTask, FiresAtPeriod) {
+// A checkpoint reads each pending event's re-arm descriptor from its
+// slot: the (at, seq) it was armed with while pending, nothing once it
+// fired or was cancelled, and nothing for a handle from another
+// scheduler.
+TEST(Scheduler, PendingEntryReadsTheArmedAtAndSeq) {
   Scheduler s;
-  std::vector<Duration> at;
-  PeriodicTask task(s, Duration::seconds(10), Duration::seconds(3),
-                    [&] { at.push_back(s.now().since_epoch()); });
-  s.run_until(TimePoint::epoch() + Duration::seconds(34));
-  ASSERT_EQ(at.size(), 4u);
-  EXPECT_EQ(at[0], Duration::seconds(3));
-  EXPECT_EQ(at[1], Duration::seconds(13));
-  EXPECT_EQ(at[3], Duration::seconds(33));
-}
+  const TimePoint t1 = TimePoint::epoch() + Duration::seconds(1);
+  const TimePoint t2 = TimePoint::epoch() + Duration::seconds(2);
+  EventHandle fires = s.schedule_at(t1, [] {});
+  EventHandle cancelled = s.schedule_at(t2, [] {});
+  EventHandle waits = s.schedule_at(t2, [] {});
+  cancelled.cancel();
+  s.run_until(t1);
 
-TEST(PeriodicTask, StopHalts) {
-  Scheduler s;
-  int ticks = 0;
-  PeriodicTask task(s, Duration::seconds(1), Duration::zero(), [&] {
-    if (++ticks == 3) task.stop();
-  });
-  s.run_until(TimePoint::epoch() + Duration::seconds(100));
-  EXPECT_EQ(ticks, 3);
-  EXPECT_FALSE(task.running());
-}
-
-TEST(PeriodicTask, DestructionCancels) {
-  Scheduler s;
-  int ticks = 0;
-  {
-    PeriodicTask task(s, Duration::seconds(1), Duration::zero(), [&] { ++ticks; });
-    s.run_until(TimePoint::epoch() + Duration::millis(1500));
-    EXPECT_EQ(ticks, 2);  // t=0 and t=1
-  }
-  s.run_until(TimePoint::epoch() + Duration::seconds(10));
-  EXPECT_EQ(ticks, 2);
+  TimePoint at;
+  std::uint64_t seq = 0;
+  ASSERT_TRUE(s.pending_entry(waits, &at, &seq));
+  EXPECT_EQ(at, t2);
+  EXPECT_EQ(seq, 2u);
+  EXPECT_FALSE(s.pending_entry(fires, &at, &seq));
+  EXPECT_FALSE(s.pending_entry(cancelled, &at, &seq));
+  EXPECT_FALSE(s.pending_entry(EventHandle{}, &at, &seq));
+  Scheduler other;
+  EXPECT_FALSE(other.pending_entry(waits, &at, &seq));
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/testbed.h"
 #include "fault/scenarios.h"
 #include "util/rng.h"
@@ -111,6 +114,25 @@ TEST(FaultInjector, RejectsOutOfTopologyIds) {
   FaultSchedule link_sched;
   link_sched.down_link(0, 9, at_s(0), Duration::seconds(1));
   EXPECT_THROW(FaultInjector(link_sched, topo, Duration::hours(1)), std::runtime_error);
+}
+
+// The builders skip the DSL's a->a check; a self-link has no core
+// segment of its own, so the injector must refuse it rather than map it
+// onto a neighbouring one.
+TEST(FaultInjector, RejectsSelfLink) {
+  const Topology topo = small_topo(4);
+  FaultSchedule down;
+  down.down_link(3, 3, at_s(0), Duration::seconds(1));
+  try {
+    const FaultInjector inj(down, topo, Duration::hours(1));
+    ADD_FAILURE() << "self-link accepted; " << inj.faulted_component_count()
+                  << " component(s) faulted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("3->3"), std::string::npos) << e.what();
+  }
+  FaultSchedule flap;
+  flap.flap_link(3, 3, Duration::seconds(60), Duration::seconds(5));
+  EXPECT_THROW(FaultInjector(flap, topo, Duration::hours(1)), std::runtime_error);
 }
 
 // ----------------------------------------------------------- network hook

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace ronpath {
 namespace {
 
@@ -34,6 +40,44 @@ TEST(WindowLossEstimator, PartialWindowUsesCount) {
   e.record(true);
   e.record(false);
   EXPECT_DOUBLE_EQ(e.loss(), 0.5);
+}
+
+// The window is a 128-bit ring: a window it cannot hold is rejected by
+// name instead of silently truncated.
+TEST(WindowLossEstimator, WindowOutsideTheRingIsRejected) {
+  EXPECT_THROW(WindowLossEstimator(0), std::invalid_argument);
+  EXPECT_NO_THROW(WindowLossEstimator(WindowLossEstimator::kMaxWindow));
+  try {
+    WindowLossEstimator e(WindowLossEstimator::kMaxWindow + 1);
+    ADD_FAILURE() << "a 129-outcome window was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("loss_window"), std::string::npos) << e.what();
+  }
+}
+
+// Every outcome and the loss match a plain sliding window at each step,
+// through many wraps of the ring, for windows that do and do not divide
+// its 128 bits.
+TEST(WindowLossEstimator, RingMatchesASlidingWindow) {
+  for (const std::size_t window : {1, 4, 10, 100, 127, 128}) {
+    WindowLossEstimator e(window);
+    std::vector<bool> model;
+    Rng rng(window);
+    for (int i = 0; i < 700; ++i) {
+      const bool lost = rng.bernoulli(0.3);
+      e.record(lost);
+      model.push_back(lost);
+      if (model.size() > window) model.erase(model.begin());
+      ASSERT_EQ(e.samples(), model.size()) << window << " step " << i;
+      std::size_t lost_count = 0;
+      for (std::size_t k = 0; k < model.size(); ++k) {
+        ASSERT_EQ(e.lost_at(k), model[k]) << window << " step " << i << " outcome " << k;
+        lost_count += model[k] ? 1 : 0;
+      }
+      EXPECT_DOUBLE_EQ(e.loss(), static_cast<double>(lost_count) /
+                                     static_cast<double>(model.size()));
+    }
+  }
 }
 
 TEST(EwmaLossEstimator, FirstSampleSetsValue) {

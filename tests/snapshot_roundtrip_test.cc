@@ -3,7 +3,7 @@
 // spare), interval rings + timeline cursors (including restore-then-
 // backjump queries), scheduler clock/sequence state with FIFO-tie
 // preservation, link estimators, the link-state table and the router's
-// hold-down state.
+// hold-down state, plus the envelope checksum.
 
 #include <gtest/gtest.h>
 
@@ -104,6 +104,35 @@ TEST(SnapshotCodec, DecoderRejectsTemporaryBytes) {
   const Bytes bytes = {1};
   snap::Decoder d(bytes);
   EXPECT_EQ(d.u8(), 1);
+}
+
+// The snapshot checksum is CRC-64/XZ folded eight bytes at a time; it
+// must give the catalogue check value and the bytewise CRC's value at
+// every length and alignment, so every sealed file keeps its bytes.
+TEST(SnapshotCodec, Crc64MatchesTheBytewiseCrc) {
+  const std::string check = "123456789";
+  EXPECT_EQ(snap::crc64(reinterpret_cast<const std::uint8_t*>(check.data()), check.size()),
+            0x995dc9bbdf1939faull);
+
+  const auto bytewise = [](const std::uint8_t* data, std::size_t size) {
+    std::uint64_t crc = ~std::uint64_t{0};
+    for (std::size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int k = 0; k < 8; ++k) crc = (crc & 1) ? (crc >> 1) ^ 0xC96C5795D7870F42ull : crc >> 1;
+    }
+    return ~crc;
+  };
+  std::vector<std::uint8_t> buf(64 + 8);
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<std::uint8_t>(i * 167 + 13);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      EXPECT_EQ(snap::crc64(buf.data() + offset, len), bytewise(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+  // Chaining through the `crc` argument continues the same checksum.
+  EXPECT_EQ(snap::crc64(buf.data() + 29, 43, snap::crc64(buf.data(), 29)),
+            snap::crc64(buf.data(), 72));
 }
 
 TEST(SnapshotRng, StreamRoundTripsExactly) {
@@ -339,6 +368,35 @@ TEST(SnapshotEstimator, LinkEstimatorRoundTripStaysInLockstep) {
     EXPECT_EQ(control.down(), restored.down()) << "probe " << i;
   }
   EXPECT_EQ(control.loss_runs(), restored.loss_runs());
+}
+
+// LEST saves the window's lost count next to its bits; a count the bits
+// do not hold is an impossible window, not a loss estimate.
+TEST(SnapshotEstimator, LostCountMustMatchTheWindowBits) {
+  LinkEstimator original(100, 0.1);
+  for (int i = 0; i < 10; ++i) {
+    original.record_probe(false, Duration::millis(20),
+                          TimePoint::epoch() + Duration::seconds(15 * i));
+  }
+  snap::Encoder e;
+  original.save_state(e);
+  std::vector<std::uint8_t> bytes = e.take();
+  // Tag (4 bytes), outcome count (8), 10 outcomes in 2 bytes, then the
+  // lost count as a little-endian u64.
+  constexpr std::size_t kLostAt = 4 + 8 + 2;
+  ASSERT_EQ(bytes[kLostAt], 0);
+  {
+    LinkEstimator restored(100, 0.1);
+    snap::Decoder d(bytes);
+    ASSERT_NO_THROW(restored.restore_state(d));
+    EXPECT_EQ(restored.loss(), 0.0);
+  }
+  for (const std::uint8_t lost : {1, 50}) {
+    bytes[kLostAt] = lost;
+    LinkEstimator restored(100, 0.1);
+    snap::Decoder d(bytes);
+    EXPECT_THROW(restored.restore_state(d), snap::SnapshotError) << int{lost};
+  }
 }
 
 TEST(SnapshotLinkState, TableRoundTripAndSizeMismatch) {

@@ -15,6 +15,7 @@
 #include "fault/scenarios.h"
 #include "snapshot/codec.h"
 #include "snapshot/snapshot.h"
+#include "workload/adaptive.h"
 #include "workload/world.h"
 
 namespace ronpath {
@@ -109,7 +110,31 @@ TEST(WorkloadSnapshot, FingerprintSealsIdentity) {
   EXPECT_NO_THROW((void)snap::unseal(file, same.fingerprint()));
 }
 
+// A saved controller starts with its redundancy level byte; only
+// single, FEC and duplication (0-2) exist.
 TEST(WorkloadSnapshot, RestoreRejectsCorruptControllerLevel) {
+  AdaptiveController saved;
+  snap::Encoder e;
+  saved.save_state(e);
+  std::vector<std::uint8_t> bytes = e.take();
+  {
+    AdaptiveController restored;
+    snap::Decoder d(bytes);
+    ASSERT_NO_THROW(restored.restore_state(d));
+  }
+  for (const std::uint8_t level : {4, 255}) {
+    bytes[0] = level;
+    AdaptiveController restored;
+    snap::Decoder d(bytes);
+    EXPECT_THROW(restored.restore_state(d), snap::SnapshotError) << int{level};
+  }
+}
+
+// Decoding a world payload with one byte flipped (every 97th in turn)
+// must throw a SnapshotError or restore; it must never crash or hang.
+// Some flips only touch metric counts and decode fine; the envelope CRC
+// catches those in real files.
+TEST(WorkloadSnapshot, ByteFlippedPayloadNeverCrashesRestore) {
   const WorkloadConfig cfg;
   const Scenario& scenario = *find_scenario("single-site-blackout");
   WorkloadWorld world(scenario, WorkloadPolicy::kAdaptive, cfg, 42);
@@ -117,7 +142,6 @@ TEST(WorkloadSnapshot, RestoreRejectsCorruptControllerLevel) {
   snap::Encoder e;
   world.save_state(e);
 
-  // Decoding random junk as a world must throw, never crash or hang.
   std::vector<std::uint8_t> bytes = e.take();
   for (std::size_t flip = 8; flip < bytes.size(); flip += 97) {
     std::vector<std::uint8_t> mutated = bytes;
@@ -126,10 +150,8 @@ TEST(WorkloadSnapshot, RestoreRejectsCorruptControllerLevel) {
     snap::Decoder d(mutated);
     try {
       fresh.restore_state(d);
-      // Some flips only touch metric counts and decode fine; that is
-      // acceptable — the envelope CRC catches them in real files.
     } catch (const snap::SnapshotError&) {
-      // expected for structural damage
+      // rejected: structural damage
     }
   }
 }
