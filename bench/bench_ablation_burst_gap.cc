@@ -5,7 +5,6 @@
 // sweeps the microburst fraction to show the knob shaping the curve.
 
 #include <iostream>
-#include <limits>
 
 #include "bench/bench_common.h"
 #include "core/testbed.h"
@@ -36,29 +35,10 @@ double clp_at_gap(Network& net, Rng& rng, Duration gap, std::int64_t probes, Tim
 }  // namespace
 
 int main(int argc, char** argv) {
-  int hours = 10;
-  std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--hours") {
-      hours = static_cast<int>(bench::BenchArgs::parse_int("--hours", next(), 1, 24 * 365));
-    } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(bench::BenchArgs::parse_int(
-          "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (a == "--quick") {
-      hours = 3;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return 2;
-    }
-  }
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, Duration::hours(10),
+                                                        bench::kDuration, Duration::hours(3));
+  const int hours = static_cast<int>(args.duration / Duration::hours(1));
+  const std::uint64_t seed = args.seed;
 
   std::printf("== Ablation: CLP vs inter-packet gap ==\n");
   static constexpr int kGapsMs[] = {0, 5, 10, 20, 50, 100, 200, 500, 1000};

@@ -8,12 +8,9 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
-#include <limits>
 
 #include "bench/bench_common.h"
 #include "overlay/link_state.h"
@@ -60,31 +57,11 @@ LinkStateTable make_table(std::size_t n, double density, Rng& rng) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t seed = 42;
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(bench::BenchArgs::parse_int(
-          "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (a == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return 2;
-    }
-  }
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, Duration::zero(), 0);
 
   std::vector<std::size_t> sizes = {30, 100, 300};
-  if (quick) sizes = {30, 100};
-  const int queries = quick ? 2'000 : 20'000;
+  if (args.quick) sizes = {30, 100};
+  const int queries = args.quick ? 2'000 : 20'000;
 
   std::printf("== Ablation: path-engine cost vs search depth ==\n");
   TextTable out({"nodes", "mesh", "k", "query us", "edges/query", "skip %"});
@@ -93,7 +70,7 @@ int main(int argc, char** argv) {
 
   for (const std::size_t n : sizes) {
     for (const double density : {1.0, 0.15}) {
-    Rng rng(seed + n);
+    Rng rng(args.seed + n);
     const LinkStateTable table = make_table(n, density, rng);
     RouterConfig cfg;
 

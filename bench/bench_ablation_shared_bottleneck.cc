@@ -8,7 +8,6 @@
 // the mechanism behind Section 4.4's central numbers.
 
 #include <iostream>
-#include <limits>
 
 #include "bench/bench_common.h"
 #include "core/testbed.h"
@@ -58,29 +57,10 @@ Result measure(const NetConfig& cfg, std::uint64_t seed, int hours) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  int hours = 8;
-  std::uint64_t seed = 42;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--hours") {
-      hours = static_cast<int>(bench::BenchArgs::parse_int("--hours", next(), 1, 24 * 365));
-    } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(bench::BenchArgs::parse_int(
-          "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (a == "--quick") {
-      hours = 2;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return 2;
-    }
-  }
+  const bench::BenchArgs args =
+      bench::BenchArgs::parse(argc, argv, Duration::hours(8), bench::kDuration);
+  const int hours = static_cast<int>(args.duration / Duration::hours(1));
+  const std::uint64_t seed = args.seed;
 
   std::printf("== Ablation: shared edge/provider bottleneck vs loss correlation ==\n");
 

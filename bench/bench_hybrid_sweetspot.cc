@@ -10,7 +10,6 @@
 
 #include <fstream>
 #include <iostream>
-#include <limits>
 
 #include "bench/bench_common.h"
 #include "core/testbed.h"
@@ -66,32 +65,10 @@ Row run_policy(const char* name, HybridConfig cfg, int hours, std::uint64_t seed
 }  // namespace
 
 int main(int argc, char** argv) {
-  int hours = 12;
-  std::uint64_t seed = 42;
-  std::string csv_path;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", a.c_str());
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (a == "--hours") {
-      hours = static_cast<int>(bench::BenchArgs::parse_int("--hours", next(), 1, 24 * 365));
-    } else if (a == "--seed") {
-      seed = static_cast<std::uint64_t>(bench::BenchArgs::parse_int(
-          "--seed", next(), 0, std::numeric_limits<std::int64_t>::max()));
-    } else if (a == "--csv") {
-      csv_path = next();
-    } else if (a == "--quick") {
-      hours = 2;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", a.c_str());
-      return 2;
-    }
-  }
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv, Duration::hours(12),
+                                                        bench::kDuration | bench::kCsv);
+  const int hours = static_cast<int>(args.duration / Duration::hours(1));
+  const std::uint64_t seed = args.seed;
 
   std::printf("== Hybrid reactive+redundant sweet spots (Sections 5.3/6) ==\n");
   std::vector<Row> rows;
@@ -125,9 +102,9 @@ int main(int argc, char** argv) {
               "duplicate, while adaptive thresholds hold overhead near 1x by paying the\n"
               "2x price only inside detected elevated-loss periods.\n");
 
-  if (!csv_path.empty()) {
+  if (!args.csv_path.empty()) {
     std::ofstream os;
-    bench::open_output_or_die(os, csv_path);
+    bench::open_output_or_die(os, args.csv_path);
     CsvWriter csv(os);
     csv.row({"policy", "loss_pct", "overhead", "duplicated_pct"});
     for (const auto& r : rows) {

@@ -149,8 +149,31 @@ CellRun::CellRun(const Scenario& scenario, HybridMode mode, const FaultMatrixCon
                  std::uint64_t seed, const char (&tag)[5])
     : env_(scenario, mode, cfg, seed),
       tag_(tag),
+      scenario_name_(scenario.name),
+      dsl_(scenario.dsl),
+      seed_(seed),
+      cfg_(cfg),
       measure_start_(TimePoint::epoch() + cfg.warmup),
       end_(measure_start_ + cfg.measured) {}
+
+std::uint64_t CellRun::cell_fingerprint() const {
+  using snap::fnv1a;
+  using snap::fnv1a_u64;
+  std::uint64_t h = fnv1a(scenario_name_);
+  h = fnv1a(dsl_, h);
+  h = fnv1a_u64(seed_, h);
+  h = fnv1a_u64(cfg_.node_count, h);
+  h = fnv1a_u64(cfg_.seed, h);
+  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.warmup.count_nanos()), h);
+  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.measured.count_nanos()), h);
+  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.send_interval.count_nanos()), h);
+  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.stable_streak), h);
+  h = fnv1a_u64(cfg_.graceful_degradation ? 1 : 0, h);
+  h = fnv1a_u64(cfg_.synth_nodes, h);
+  h = fnv1a_u64(cfg_.overlay_fanout, h);
+  h = fnv1a_u64(cfg_.overlay_landmarks, h);
+  return h;
+}
 
 void CellRun::advance_to(std::size_t step) {
   step = std::min(step, total_steps());
@@ -230,19 +253,18 @@ FaultCellRun::FaultCellRun(const Scenario& scenario, FaultScheme scheme,
                            const FaultMatrixConfig& cfg, std::uint64_t seed)
     : CellRun(scenario, sender_mode(scheme), cfg, seed, "WRLD"),
       scheme_(scheme),
-      cfg_(cfg),
       fault_start_(scenario.fault_start),
       fault_duration_(scenario.fault_duration) {
   delivered_.reserve(total_steps() + 1);
 }
 
 std::size_t FaultCellRun::total_steps() const {
-  const std::int64_t interval = cfg_.send_interval.count_nanos();
-  return static_cast<std::size_t>((cfg_.measured.count_nanos() + interval - 1) / interval);
+  const std::int64_t interval = config().send_interval.count_nanos();
+  return static_cast<std::size_t>((config().measured.count_nanos() + interval - 1) / interval);
 }
 
 TimePoint FaultCellRun::step_time(std::size_t i) const {
-  return measure_start() + cfg_.send_interval * static_cast<std::int64_t>(i);
+  return measure_start() + config().send_interval * static_cast<std::int64_t>(i);
 }
 
 void FaultCellRun::step(std::size_t /*i*/, TimePoint t) {
@@ -292,7 +314,7 @@ void FaultCellRun::check_body(std::vector<std::string>& out) const {
 FaultCell FaultCellRun::cell() const {
   assert(finished());
   FaultCell cell =
-      analyze_timeline(delivered_, cfg_, fault_start_, fault_start_ + fault_duration_);
+      analyze_timeline(delivered_, config(), fault_start_, fault_start_ + fault_duration_);
   cell.overhead = (scheme_ == FaultScheme::kMesh || scheme_ == FaultScheme::kHybrid)
                       ? env_.sender->overhead_factor()
                       : 1.0;

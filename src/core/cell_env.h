@@ -23,7 +23,10 @@
 // closures, so each owner saves (at, seq) re-arm descriptors (see
 // event/scheduler.h); restore resets the clock before the owners re-arm
 // them, so a killed-and-restored run fires in the original order and
-// reports byte-identically to an uninterrupted one.
+// reports byte-identically to an uninterrupted one. CellRun keeps the
+// cell's construction arguments (scenario name and DSL, world seed,
+// FaultMatrixConfig) and hashes them into the identity every world's
+// snapshot fingerprint starts from.
 
 #ifndef RONPATH_CORE_CELL_ENV_H_
 #define RONPATH_CORE_CELL_ENV_H_
@@ -112,12 +115,21 @@ class CellRun {
   [[nodiscard]] const Network& network() const { return *env_.net; }
 
  protected:
-  // `tag` names the world's checkpoint section.
+  // `tag` names the world's checkpoint section. The scenario's strings
+  // are copied, so callers may pass synthesized schedules with transient
+  // backing storage (the soak harness does).
   CellRun(const Scenario& scenario, HybridMode mode, const FaultMatrixConfig& cfg,
           std::uint64_t seed, const char (&tag)[5]);
 
   [[nodiscard]] TimePoint measure_start() const { return measure_start_; }
   [[nodiscard]] TimePoint end_time() const { return end_; }
+  [[nodiscard]] const std::string& scenario_name() const { return scenario_name_; }
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+  [[nodiscard]] const FaultMatrixConfig& config() const { return cfg_; }
+  // FNV-1a over the scenario name and DSL, the world seed and every
+  // FaultMatrixConfig field (the topology seed cfg.seed included). Each
+  // world's fingerprint() extends it with its own fields.
+  [[nodiscard]] std::uint64_t cell_fingerprint() const;
 
   CellEnv env_;
 
@@ -137,6 +149,10 @@ class CellRun {
   [[nodiscard]] const char* progress_error() const;
 
   const char (&tag_)[5];
+  std::string scenario_name_;
+  std::string dsl_;
+  std::uint64_t seed_;
+  FaultMatrixConfig cfg_;
   TimePoint measure_start_;
   TimePoint end_;
   std::size_t next_step_ = 0;
@@ -160,7 +176,6 @@ class FaultCellRun : public CellRun {
 
  protected:
   FaultScheme scheme_;
-  FaultMatrixConfig cfg_;
   TimePoint fault_start_;
   Duration fault_duration_;
   std::vector<bool> delivered_;  // one entry per send

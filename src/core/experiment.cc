@@ -24,9 +24,6 @@ std::string_view to_string(Dataset d) {
 }
 
 ExperimentResult run_experiment(const ExperimentConfig& cfg) {
-  if (cfg.path_depth < 1 || cfg.path_depth > 2) {
-    throw std::invalid_argument("path_depth must be 1 or 2 (forwarding carries <= 2 relays)");
-  }
   const bool is_2003 = cfg.dataset == Dataset::kRon2003;
   Topology topo = select_topology(is_2003 ? testbed_2003() : testbed_2002(), cfg.node_count,
                                   cfg.synth_nodes, cfg.seed);
@@ -44,7 +41,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   overlay_cfg.router.forward_delay = net_cfg.forward_delay;
   if (cfg.probe_interval) overlay_cfg.probe_interval = *cfg.probe_interval;
   overlay_cfg.use_ewma_loss = cfg.use_ewma_loss;
-  overlay_cfg.router.max_intermediates = cfg.path_depth;
   overlay_cfg.fanout = cfg.overlay_fanout;
   overlay_cfg.landmarks = cfg.overlay_landmarks;
   if (cfg.graceful_degradation) enable_graceful_degradation(overlay_cfg);

@@ -58,11 +58,6 @@ struct ExperimentConfig {
   // Enables the router's staleness expiry + hold-down knobs (DESIGN.md,
   // "Fault model"); off reproduces the trust-forever control plane.
   bool graceful_degradation = false;
-  // Maximum overlay relays the reactive router may chain (path-engine
-  // rounds). 1 reproduces the paper's one-intermediate router; 2 lets
-  // route() pick two-relay chains. Values outside [1, 2] are rejected
-  // (the forwarding plane carries at most two relays).
-  int path_depth = 1;
 
   // --- scaling (DESIGN.md §14) ---
   // > 0: replace the testbed topology with a synthetic hierarchical

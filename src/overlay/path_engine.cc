@@ -21,7 +21,8 @@ namespace {
 // reproduces the legacy estimate expressions bit-for-bit:
 //   loss     : survival product (1-l1)*(1-l2)*..., left-associated;
 //              the query converts to loss as 1.0 - product.
-//   latency  : saturating_add chain, Duration::max() absorbing.
+//   latency  : saturating_add chain, Duration::max() absorbing (one
+//              relay only).
 // Each objective also names its selection: `penalized` is the value an
 // r-relay chain competes with in the final pick (the raw link metric
 // for the direct path), stored in `selected` of the choice.
@@ -54,12 +55,8 @@ struct LatObj {
   static Value extend(Value prev, Link l) { return Duration::saturating_add(prev, l); }
   static bool better(Value a, Value b) { return a < b; }
   static bool unbeatable(Value) { return false; }
-  // r forwarding delays, accumulated by repeated addition so r == 2
-  // reproduces the legacy `forward_delay + forward_delay` exactly.
   static Duration penalized(Value v, int r, const RouterConfig& cfg) {
-    Duration fwd = cfg.forward_delay;
-    for (int j = 1; j < r; ++j) fwd = fwd + cfg.forward_delay;
-    Duration cand = Duration::saturating_add(v, fwd);
+    Duration cand = Duration::saturating_add(v, cfg.forward_delay);
     if (cand != Duration::max()) cand += cfg.indirect_lat_penalty * r;
     return cand;
   }
@@ -71,7 +68,7 @@ struct LatObj {
 // equal values resolve to fewer relays. Expressions match the legacy
 // router's composition exactly: the direct path reports the raw link
 // metric; round r adds r * indirect_*_penalty (1x and 2.0x match the
-// legacy one- and two-hop forms bit for bit).
+// legacy one- and two-hop loss forms bit for bit).
 template <class Obj>
 EngineChoice direct_choice(typename Obj::Link direct, bool include_direct) {
   EngineChoice best;
@@ -157,17 +154,11 @@ EngineChoice one_relay(const LinkStateTable& t, const RouterConfig& cfg, EngineS
   return best;
 }
 
-}  // namespace
-
-// Relaxation kernel of a k >= 2 query. Operates on one objective's flat
-// label arrays. All tie-breaks are "strict improvement scanning
-// predecessors in ascending order" (equivalently: better value, else
-// smaller parent id), which is the order the differential reference
-// replicates.
-template <class Obj>
-struct EngineKernel {
-  using Value = typename Obj::Value;
-
+// Relaxation kernel of a k >= 2 loss query over flat label arrays.
+// All tie-breaks are "strict improvement scanning predecessors in
+// ascending order" (equivalently: better value, else smaller parent
+// id), which is the order the differential reference replicates.
+struct RoundKernel {
   const LinkStateTable& table;
   const RouterConfig& cfg;
   std::size_t n;
@@ -177,25 +168,23 @@ struct EngineKernel {
   // out-round the direct path by one ulp.
   NodeId ban;
   const std::vector<bool>& live;
-  const std::vector<bool>* excluded;  // may be null
   TimePoint now;
-  std::vector<Value>& val;   // [(round) * n + node]
+  std::vector<double>& val;  // survival, [(round) * n + node]
   std::vector<NodeId>& par;  // kInvalidNode == unset; src at round 0
   EngineStats& stats;
 
-  [[nodiscard]] typename Obj::Link edge(NodeId u, NodeId w) const {
-    return Obj::link(table.get(u, w), cfg, now);
+  [[nodiscard]] double edge(NodeId u, NodeId w) const {
+    return LossObj::link(table.get(u, w), cfg, now);
   }
 
   // A node may act as a relay source for round r when it is not the
-  // query source, currently seems up, is not excluded (hold-down), has
-  // a round r-1 label, and is not stagnant: a label whose value did not
-  // change between rounds r-2 and r-1 offers no candidate that round
-  // r-1 did not already record with one fewer relay (marked-node
-  // pruning; dominance argument in DESIGN.md).
+  // query source, currently seems up, has a round r-1 label, and is not
+  // stagnant: a label whose value did not change between rounds r-2 and
+  // r-1 offers no candidate that round r-1 did not already record with
+  // one fewer relay (marked-node pruning; dominance argument in
+  // DESIGN.md).
   [[nodiscard]] bool admissible(NodeId u, int r) {
     if (u == src || u == ban || !live[u]) return false;
-    if (excluded != nullptr && (*excluded)[u]) return false;
     if (par[static_cast<std::size_t>(r - 1) * n + u] == kInvalidNode) return false;
     if (r >= 2 && val[static_cast<std::size_t>(r - 1) * n + u] ==
                       val[static_cast<std::size_t>(r - 2) * n + u]) {
@@ -208,10 +197,10 @@ struct EngineKernel {
   void seed_round0() {
     for (NodeId w = 0; w < n; ++w) {
       if (w == src) {
-        val[w] = Obj::kUnset;
+        val[w] = LossObj::kUnset;
         par[w] = kInvalidNode;
       } else {
-        val[w] = Obj::seed(edge(src, w));
+        val[w] = LossObj::seed(edge(src, w));
         par[w] = src;
       }
     }
@@ -221,8 +210,8 @@ struct EngineKernel {
   void cand_check(int r, NodeId w, NodeId u) {
     ++stats.edges_relaxed;
     const std::size_t i = static_cast<std::size_t>(r) * n + w;
-    const Value cand = Obj::extend(val[static_cast<std::size_t>(r - 1) * n + u], edge(u, w));
-    if (par[i] == kInvalidNode || Obj::better(cand, val[i]) ||
+    const double cand = LossObj::extend(val[static_cast<std::size_t>(r - 1) * n + u], edge(u, w));
+    if (par[i] == kInvalidNode || LossObj::better(cand, val[i]) ||
         (cand == val[i] && u < par[i])) {
       val[i] = cand;
       par[i] = u;
@@ -230,15 +219,15 @@ struct EngineKernel {
   }
 
   // Full round-r relax. `only`, when valid, restricts targets to one
-  // node (a per-query search's final round).
+  // node (the query's final round).
   void relax_round(int r, NodeId only = kInvalidNode) {
     const std::size_t base = static_cast<std::size_t>(r) * n;
     if (only != kInvalidNode) {
-      val[base + only] = Obj::kUnset;
+      val[base + only] = LossObj::kUnset;
       par[base + only] = kInvalidNode;
     } else {
       for (NodeId w = 0; w < n; ++w) {
-        val[base + w] = Obj::kUnset;
+        val[base + w] = LossObj::kUnset;
         par[base + w] = kInvalidNode;
       }
     }
@@ -268,86 +257,50 @@ struct EngineKernel {
   }
 };
 
+}  // namespace
+
 PathEngine::PathEngine(const LinkStateTable& table, const RouterConfig& cfg)
     : table_(table), cfg_(cfg), n_(table.size()) {}
 
 void PathEngine::ensure_scratch() {
   const std::size_t want = static_cast<std::size_t>(kMaxRounds + 1) * n_;
-  if (q_loss_.value.size() != want) {
-    q_loss_.value.assign(want, -1.0);
-    q_loss_.parent.assign(want, kInvalidNode);
-    q_lat_.value.assign(want, Duration::min());
-    q_lat_.parent.assign(want, kInvalidNode);
+  if (q_val_.size() != want) {
+    q_val_.assign(want, LossObj::kUnset);
+    q_par_.assign(want, kInvalidNode);
     q_live_.assign(n_, false);
   }
 }
 
-namespace {
-
-template <class Obj>
-EngineChoice finish(const EngineKernel<Obj>& k, NodeId dst, int max_hops,
-                    typename Obj::Link direct, bool include_direct) {
-  EngineChoice best = direct_choice<Obj>(direct, include_direct);
-  for (int r = 1; r <= max_hops; ++r) {
-    const std::size_t i = static_cast<std::size_t>(r) * k.n + dst;
-    if (k.par[i] != kInvalidNode) offer<Obj>(best, k.cfg, r, k.val[i], k.chain_of(r, dst));
-  }
-  return best;
-}
-
-void check_depth(int max_hops) {
-  if (max_hops < 1 || max_hops > PathEngine::kMaxRounds) {
-    throw std::invalid_argument("path engine: max_hops " + std::to_string(max_hops) +
-                                " outside [1, " + std::to_string(PathEngine::kMaxRounds) + "]");
-  }
-}
-
-}  // namespace
-
-void PathEngine::refresh_live() {
-  for (NodeId v = 0; v < n_; ++v) q_live_[v] = table_.node_seems_up(v);
-}
-
-const std::vector<bool>* PathEngine::relay_mask(NodeId src, NodeId dst,
-                                                const RelayFilter& filter) {
-  if (!filter.endpoint_rows && filter.excluded.empty()) return nullptr;
-  q_mask_.assign(n_, filter.endpoint_rows);
-  if (filter.endpoint_rows) {
-    const NeighborSet& g = table_.neighbors();
-    for (const NodeId v : g.neighbors(src)) q_mask_[v] = false;
-    for (const NodeId v : g.neighbors(dst)) q_mask_[v] = false;
-  }
-  for (const NodeId v : filter.excluded) q_mask_[v] = true;
-  return &q_mask_;
-}
-
-template <class Obj, class Labels>
-EngineChoice PathEngine::query_rounds(NodeId src, NodeId dst, int rounds, TimePoint now,
-                                      const RelayFilter& filter, Labels& labels) {
-  ensure_scratch();
-  refresh_live();
-  EngineKernel<Obj> kern{table_,       cfg_,          n_,    src, /*ban=*/dst, q_live_,
-                         relay_mask(src, dst, filter), now, labels.value, labels.parent, stats_};
-  kern.seed_round0();
-  for (int r = 1; r <= rounds; ++r) kern.relax_round(r, r == rounds ? dst : kInvalidNode);
-  return finish<Obj>(kern, dst, rounds, Obj::link(table_.get(src, dst), cfg_, now),
-                     filter.include_direct);
-}
-
-EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
+EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, TimePoint now,
                                    const RelayFilter& filter) {
   assert(src < n_ && dst < n_ && src != dst);
-  check_depth(max_hops);
-  if (max_hops == 1) return one_relay<LossObj>(table_, cfg_, stats_, src, dst, now, filter);
-  return query_rounds<LossObj>(src, dst, max_hops, now, filter, q_loss_);
+  return one_relay<LossObj>(table_, cfg_, stats_, src, dst, now, filter);
 }
 
-EngineChoice PathEngine::best_latency(NodeId src, NodeId dst, int max_hops, TimePoint now,
+EngineChoice PathEngine::best_latency(NodeId src, NodeId dst, TimePoint now,
                                       const RelayFilter& filter) {
   assert(src < n_ && dst < n_ && src != dst);
-  check_depth(max_hops);
-  if (max_hops == 1) return one_relay<LatObj>(table_, cfg_, stats_, src, dst, now, filter);
-  return query_rounds<LatObj>(src, dst, max_hops, now, filter, q_lat_);
+  return one_relay<LatObj>(table_, cfg_, stats_, src, dst, now, filter);
+}
+
+EngineChoice PathEngine::best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now) {
+  assert(src < n_ && dst < n_ && src != dst);
+  if (max_hops < 1 || max_hops > kMaxRounds) {
+    throw std::invalid_argument("path engine: max_hops " + std::to_string(max_hops) +
+                                " outside [1, " + std::to_string(kMaxRounds) + "]");
+  }
+  if (max_hops == 1) return best_loss(src, dst, now, RelayFilter{});
+  ensure_scratch();
+  for (NodeId v = 0; v < n_; ++v) q_live_[v] = table_.node_seems_up(v);
+  RoundKernel kern{table_, cfg_, n_, src, /*ban=*/dst, q_live_, now, q_val_, q_par_, stats_};
+  kern.seed_round0();
+  for (int r = 1; r <= max_hops; ++r) kern.relax_round(r, r == max_hops ? dst : kInvalidNode);
+  EngineChoice best = direct_choice<LossObj>(kern.edge(src, dst), /*include_direct=*/true);
+  for (int r = 1; r <= max_hops; ++r) {
+    const std::size_t i = static_cast<std::size_t>(r) * n_ + dst;
+    if (q_par_[i] != kInvalidNode) offer<LossObj>(best, cfg_, r, q_val_[i], kern.chain_of(r, dst));
+  }
+  return best;
 }
 
 std::vector<NodeId> PathEngine::live_relays(NodeId src, NodeId dst) const {

@@ -1,46 +1,44 @@
-// Round-based k-hop overlay path engine (RAPTOR style).
-//
-// The paper's reactive router scans direct + one-intermediate candidates
-// per destination pair; this engine generalizes that scan to paths with
-// up to k intermediates using rounds: round r holds, for every node w,
-// the best path from the query source to w that uses *exactly* r
-// intermediate relays, under a pluggable objective (composed loss or
-// composed latency). Labels live in flat struct-of-arrays tables
-// (value[r*n + w], parent[r*n + w]); round r relaxes only from nodes
-// whose label improved between rounds r-2 and r-1 (marked-node /
-// stagnation pruning), so steady-state rounds touch the frontier, not
-// all pairs.
-//
-// Exact per-round tables (rather than RAPTOR's best-at-most-r merge) are
-// required here because the final selection is penalized per hop
-// (indirect_loss_penalty / indirect_lat_penalty are charged per relay),
-// and a penalized order is not preserved under label composition.
+// Overlay path engine: the reactive router's one-relay scan, and a
+// round-based (RAPTOR style) k-hop loss search for the depth ablations.
 //
 // Query styles:
 //
-//   * one relay (k == 1): best_loss()/best_latency() answer with a
-//     single ascending scan over the relay candidates, no labels. With
-//     RelayFilter::endpoint_rows the candidates are the sorted merge of
-//     the two endpoints' CSR rows, N(src) u N(dst) (every node over the
-//     full mesh), and both legs of each candidate are read by edge rank
-//     (the (u, dst) leg through the reverse edge), so a query costs
-//     O(|N(src)| + |N(dst)|), not O(n) searched reads. Seed, extend
-//     and strict-improvement expressions are the kernel's, so choices
-//     match the round tables bit for bit. The loss scan stops at the
-//     first relay with survival exactly 1.0: losses lie in [0, 1], so
-//     no later relay can strictly beat it.
-//   * rounds (k >= 2): relax scratch tables for one (src, dst, now)
-//     question; the filter becomes a relay mask.
+//   * one relay: best_loss()/best_latency() with a RelayFilter answer
+//     with a single ascending scan over the relay candidates, no labels.
+//     With RelayFilter::endpoint_rows the candidates are the sorted merge
+//     of the two endpoints' CSR rows, N(src) u N(dst) (every node over
+//     the full mesh), and both legs of each candidate are read by edge
+//     rank (the (u, dst) leg through the reverse edge), so a query costs
+//     O(|N(src)| + |N(dst)|), not O(n) searched reads. Seed, extend and
+//     strict-improvement expressions are the round kernel's, so choices
+//     match round 1 of the tables bit for bit. The loss scan stops at
+//     the first relay with survival exactly 1.0: losses lie in [0, 1],
+//     so no later relay can strictly beat it. The router (one relay, the
+//     paper's reactive router) and the hybrid alternate ask this query.
+//   * rounds: best_loss(src, dst, max_hops, now) searches up to max_hops
+//     relays with every node a candidate (k = 1 is the unfiltered scan).
+//     Round r holds, for every node w, the best path from the query
+//     source to w that uses *exactly* r intermediate relays, by composed
+//     loss survival. Labels live in flat struct-of-arrays tables
+//     (value[r*n + w], parent[r*n + w]); round r relaxes only from nodes
+//     whose label improved between rounds r-2 and r-1 (marked-node /
+//     stagnation pruning), so steady-state rounds touch the frontier,
+//     not all pairs. Only the depth ablations ask it.
+//
+// Exact per-round tables (rather than RAPTOR's best-at-most-r merge) are
+// required here because the final selection is penalized per hop
+// (indirect_loss_penalty is charged per relay), and a penalized order
+// is not preserved under label composition.
 //
 // Selection order (the spec the differential tests pin): candidates are
 // compared by penalized value with strict improvement, rounds ascending
 // (direct first), so equal-valued candidates resolve to fewer hops;
 // within a round the relax scans predecessors in ascending node order
-// with strict improvement on the raw objective (survival / latency), so
-// ties resolve to the smallest last relay, then recursively to the best
-// (then smallest) prefix. Paths through down, expired, excluded or
-// seems-down nodes follow the same link_loss/link_latency semantics as
-// the legacy router. The queried destination is barred from relay
+// with strict improvement on the raw objective (survival, or latency in
+// the one-relay scan), so ties resolve to the smallest last relay, then
+// recursively to the best (then smallest) prefix. Paths through down,
+// expired, excluded or seems-down nodes follow the same
+// link_loss/link_latency semantics as the legacy router. The queried destination is barred from relay
 // positions (as the legacy scans do). Labels may still transiently
 // record non-simple chains (node revisits); a dominance argument (see
 // DESIGN.md "Path engine") shows such chains never win a query, and the
@@ -62,8 +60,8 @@
 namespace ronpath {
 
 // A path described by its ordered relay list (empty == direct).
-// Decoupled from PathSpec so the engine can reason about k > 2 even
-// though the forwarding plane currently carries at most two relays.
+// Decoupled from PathSpec so the round search can reason about k > 2
+// even though the forwarding plane carries at most two relays.
 struct HopPath {
   static constexpr int kMaxHops = 4;
   std::array<NodeId, kMaxHops> hops{kInvalidNode, kInvalidNode, kInvalidNode, kInvalidNode};
@@ -75,7 +73,7 @@ struct HopPath {
   friend constexpr bool operator==(const HopPath&, const HopPath&) = default;
 };
 
-// Relay restrictions of a per-query search.
+// Relay restrictions of a one-relay query.
 struct RelayFilter {
   // Relays only from N(src) u N(dst) of the table's neighbor graph
   // (every node over the full mesh). Off: every node.
@@ -113,13 +111,16 @@ class PathEngine {
   // it. One engine serves any source (queries take `src`).
   PathEngine(const LinkStateTable& table, const RouterConfig& cfg);
 
-  // Best path src -> dst using at most `max_hops` relays under the
-  // staleness policy at `now`, relays restricted by `filter`. Throws
-  // std::invalid_argument unless 1 <= max_hops <= kMaxRounds.
-  [[nodiscard]] EngineChoice best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now,
-                                       const RelayFilter& filter = {});
-  [[nodiscard]] EngineChoice best_latency(NodeId src, NodeId dst, int max_hops, TimePoint now,
-                                          const RelayFilter& filter = {});
+  // Best path src -> dst through at most one relay under the staleness
+  // policy at `now`, the relay restricted by `filter`.
+  [[nodiscard]] EngineChoice best_loss(NodeId src, NodeId dst, TimePoint now,
+                                       const RelayFilter& filter);
+  [[nodiscard]] EngineChoice best_latency(NodeId src, NodeId dst, TimePoint now,
+                                          const RelayFilter& filter);
+  // Best loss path src -> dst through at most `max_hops` relays, every
+  // node but the endpoints a candidate. Throws std::invalid_argument
+  // unless 1 <= max_hops <= kMaxRounds.
+  [[nodiscard]] EngineChoice best_loss(NodeId src, NodeId dst, int max_hops, TimePoint now);
 
   // The one-relay candidates of src -> dst that currently seem up,
   // ascending: N(src) u N(dst) without the endpoints.
@@ -129,35 +130,17 @@ class PathEngine {
   void reset_stats() { stats_ = EngineStats{}; }
 
  private:
-  // Flat per-objective label storage: value/parent indexed [r * n + w].
-  struct LossLabels {
-    std::vector<double> value;   // survival product along the chain
-    std::vector<NodeId> parent;  // predecessor relay; kInvalidNode = unset
-  };
-  struct LatLabels {
-    std::vector<Duration> value;  // saturating latency sum along the chain
-    std::vector<NodeId> parent;
-  };
-
-  // Search at k >= 2 on the round tables in `labels`.
-  template <class Obj, class Labels>
-  EngineChoice query_rounds(NodeId src, NodeId dst, int rounds, TimePoint now,
-                            const RelayFilter& filter, Labels& labels);
-  // The filter as an n-entry relay mask for the round kernel; null when
-  // it bars nothing.
-  const std::vector<bool>* relay_mask(NodeId src, NodeId dst, const RelayFilter& filter);
   void ensure_scratch();
-  void refresh_live();
 
   const LinkStateTable& table_;
   const RouterConfig& cfg_;
   std::size_t n_;
 
-  // Round scratch (k >= 2; allocated on first use).
-  LossLabels q_loss_;
-  LatLabels q_lat_;
+  // Round scratch (k >= 2; allocated on first use): value/parent
+  // indexed [r * n + w], and each node's seems-up flag.
+  std::vector<double> q_val_;   // survival product along the chain
+  std::vector<NodeId> q_par_;   // predecessor relay; kInvalidNode = unset
   std::vector<bool> q_live_;
-  std::vector<bool> q_mask_;
 
   EngineStats stats_;
 };

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 #include <string>
 
 #include "overlay/path_engine.h"
@@ -11,13 +10,13 @@
 namespace ronpath {
 namespace {
 
-// A stored incumbent is a path from `self` to its destination key whose
-// relays are each a node or kDirectVia. Shared by restore_state (on the
-// raw fields) and check_invariants.
+// A stored incumbent is a path from `self` to its destination key
+// through at most one relay: `via` is a node or kDirectVia, and there is
+// no second relay. Shared by restore_state (on the raw fields) and
+// check_invariants.
 bool incumbent_ok(std::uint64_t src, std::uint64_t dst, std::uint64_t via, std::uint64_t via2,
                   NodeId self, std::uint64_t key, std::size_t n) {
-  const auto relay_ok = [n](std::uint64_t v) { return v == kDirectVia || v < n; };
-  return src == self && dst == key && relay_ok(via) && relay_ok(via2);
+  return src == self && dst == key && (via == kDirectVia || via < n) && via2 == kDirectVia;
 }
 
 }  // namespace
@@ -63,11 +62,6 @@ double path_loss_estimate(const LinkStateTable& table, const PathSpec& path,
   return 1.0 - (1.0 - l1) * (1.0 - l2);
 }
 
-double path_loss_estimate(const LinkStateTable& table, const PathSpec& path) {
-  // Trust-forever view (no staleness policy).
-  return path_loss_estimate(table, path, RouterConfig{}, TimePoint::epoch());
-}
-
 Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path,
                                const RouterConfig& cfg, TimePoint now) {
   using D = Duration;
@@ -84,13 +78,6 @@ Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path
   return D::saturating_add(D::saturating_add(d1, d2), cfg.forward_delay);
 }
 
-Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path,
-                               const RouterConfig& cfg) {
-  RouterConfig trusting = cfg;
-  trusting.entry_ttl = Duration::zero();
-  return path_latency_estimate(table, path, trusting, TimePoint::epoch());
-}
-
 bool path_down(const LinkStateTable& table, const PathSpec& path) {
   if (path.is_direct()) return table.get(path.src, path.dst).down;
   if (path.is_two_hop()) {
@@ -101,14 +88,10 @@ bool path_down(const LinkStateTable& table, const PathSpec& path) {
 }
 
 Router::Router(NodeId self, const LinkStateTable& table, RouterConfig cfg)
-    : self_(self), table_(table), cfg_(cfg) {
-  // The forwarding plane carries at most two relays.
-  if (cfg_.max_intermediates < 1 || cfg_.max_intermediates > 2) {
-    throw std::invalid_argument("router: max_intermediates " +
-                                std::to_string(cfg_.max_intermediates) + " outside [1, 2]");
-  }
-  engine_ = std::make_unique<PathEngine>(table_, cfg_);
-}
+    : self_(self),
+      table_(table),
+      cfg_(cfg),
+      engine_(std::make_unique<PathEngine>(table_, cfg_)) {}
 
 Router::~Router() = default;
 
@@ -236,13 +219,11 @@ PathChoice Router::evaluate_loss(NodeId dst, DstState& st, TimePoint now) {
     register_down(dst, *inc, now);
   }
 
-  // Candidate scan via the path engine. At max_intermediates == 1 it is
-  // one ascending pass over N(self) u N(dst) (every node over the full
-  // mesh) with the historical loop's composition and tie-break
-  // expressions; at 2 it also relaxes two-relay chains, each relay
-  // charged indirect_loss_penalty.
+  // Candidate scan via the path engine: one ascending pass over
+  // N(self) u N(dst) (every node over the full mesh) with the historical
+  // loop's composition and tie-break expressions.
   const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
-  const EngineChoice cand = engine_->best_loss(self_, dst, cfg_.max_intermediates, now, filter);
+  const EngineChoice cand = engine_->best_loss(self_, dst, now, filter);
   PathChoice best{cand.path.to_spec(self_, dst), cand.loss, Duration::zero()};
 
   // Hysteresis: keep the incumbent while it is close to the best.
@@ -274,7 +255,7 @@ PathChoice Router::evaluate_lat(NodeId dst, DstState& st, TimePoint now) {
   }
 
   const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
-  const EngineChoice cand = engine_->best_latency(self_, dst, cfg_.max_intermediates, now, filter);
+  const EngineChoice cand = engine_->best_latency(self_, dst, now, filter);
   PathChoice best{cand.path.to_spec(self_, dst), 0.0, cand.latency};
 
   if (inc && best.latency != Duration::max() && !held_down(dst, inc->via, now)) {
@@ -291,20 +272,6 @@ PathChoice Router::evaluate_lat(NodeId dst, DstState& st, TimePoint now) {
   count_switch(st.lat_switches, inc, best.path);
   inc = best.path;
   best.loss = path_loss_estimate(table_, best.path, cfg_, now);
-  return best;
-}
-
-PathChoice Router::best_loss_path_two_hop(NodeId dst, TimePoint now) const {
-  assert(dst < table_.size() && dst != self_);
-  // Engine query at two rounds; each relay is charged
-  // indirect_loss_penalty, so a two-relay chain pays the historical
-  // 2 * penalty. `now` drives the staleness policy (the historical
-  // overload trusted entries forever only because entry_ttl defaulted
-  // to zero; with a TTL configured, stale entries now degrade here just
-  // as they do in best_loss_path).
-  const EngineChoice cand = engine_->best_loss(self_, dst, 2, now);
-  PathChoice best{cand.path.to_spec(self_, dst), cand.loss, Duration::zero()};
-  best.latency = path_latency_estimate(table_, best.path, cfg_, now);
   return best;
 }
 
@@ -365,8 +332,7 @@ void Router::restore_state(snap::Decoder& d) {
       throw snap::SnapshotError("snapshot: malformed router incumbent for dst " +
                                 std::to_string(key));
     }
-    p = PathSpec{static_cast<NodeId>(src), static_cast<NodeId>(dst), static_cast<NodeId>(via),
-                 static_cast<NodeId>(via2)};
+    p = PathSpec{static_cast<NodeId>(src), static_cast<NodeId>(dst), static_cast<NodeId>(via)};
   };
   const std::uint64_t n_dst = d.count(19);
   dst_states_.clear();

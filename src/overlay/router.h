@@ -2,7 +2,10 @@
 //
 // For a source-destination pair the candidate set is the direct Internet
 // path plus every one-intermediate path through a node that currently
-// seems up. Two objectives are provided, matching Table 4:
+// seems up; the router never selects a second relay (RON stops at one,
+// and bench_ablation_two_hop measures what a second would add through
+// the path engine's round search). Two objectives are provided,
+// matching Table 4:
 //
 //   loss - minimize composed loss probability over the last-100-probe
 //          window estimates;
@@ -26,12 +29,12 @@
 // Scaling (DESIGN.md §14): the router's relay candidates are
 // N(self) u N(dst) of the table's NeighborSet, which over a capped graph
 // holds every landmark because every node neighbors every landmark, and
-// over the full mesh is every node. At max_intermediates == 1 a query
-// is one path-engine scan over the sorted merge of the two rows,
-// O(|N(self)| + |N(dst)|); the degraded-view denominator is the own
-// neighbor row; and per-destination state (incumbents, switch counters,
-// hold-downs) lives in sorted flat maps populated on first touch —
-// O(destinations actually routed), not O(n) per router.
+// over the full mesh is every node. A query is one path-engine scan over
+// the sorted merge of the two rows, O(|N(self)| + |N(dst)|); the
+// degraded-view denominator is the own neighbor row; and per-destination
+// state (incumbents, switch counters, hold-downs) lives in sorted flat
+// maps populated on first touch — O(destinations actually routed), not
+// O(n) per router.
 
 #ifndef RONPATH_OVERLAY_ROUTER_H_
 #define RONPATH_OVERLAY_ROUTER_H_
@@ -97,13 +100,6 @@ struct RouterConfig {
   Duration holddown_base = Duration::zero();
   Duration holddown_max = Duration::minutes(5);
   Duration holddown_reset = Duration::minutes(10);
-
-  // Maximum overlay relays the reactive router may select (path-engine
-  // rounds). 1 reproduces the paper's one-intermediate router; 2 lets
-  // route() emit two-relay paths. The forwarding plane carries at most
-  // two relays, so the Router rejects any other value; deeper search is
-  // available through PathEngine directly.
-  int max_intermediates = 1;
 };
 
 struct PathChoice {
@@ -126,16 +122,12 @@ struct PathChoice {
 [[nodiscard]] double link_loss(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
 [[nodiscard]] Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
 
-// Composed one-way loss estimate of a path under the table's current view.
-// Handles direct, one-hop and two-hop paths. The `now`-aware overload
-// applies the staleness policy; the two-argument form trusts entries
-// forever (historical behavior).
-[[nodiscard]] double path_loss_estimate(const LinkStateTable& table, const PathSpec& path);
+// Composed one-way loss estimate of a path under the table's current view
+// and the staleness policy at `now`. Handles direct, one-hop and two-hop
+// paths; with entry_ttl == 0 entries are trusted forever.
 [[nodiscard]] double path_loss_estimate(const LinkStateTable& table, const PathSpec& path,
                                         const RouterConfig& cfg, TimePoint now);
 // Composed one-way latency estimate; Duration::max() when unknown.
-[[nodiscard]] Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path,
-                                             const RouterConfig& cfg);
 [[nodiscard]] Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path,
                                              const RouterConfig& cfg, TimePoint now);
 // True if any link of the path is flagged down.
@@ -146,8 +138,7 @@ struct PathChoice {
 class Router {
  public:
   // Relay candidates are the endpoint rows of the table's NeighborSet,
-  // and the degraded-view scan covers the own row. Throws
-  // std::invalid_argument unless cfg.max_intermediates is 1 or 2.
+  // and the degraded-view scan covers the own row.
   Router(NodeId self, const LinkStateTable& table, RouterConfig cfg);
   ~Router();  // out of line: PathEngine is incomplete here
 
@@ -174,17 +165,6 @@ class Router {
   // `dst` (always false with holddown_base == 0).
   [[nodiscard]] bool held_down(NodeId dst, NodeId via, TimePoint now) const;
 
-  // Scaling extension: best loss path allowing up to two intermediates
-  // (the paper's one-intermediate router generalized). O(N^2) per call
-  // and stateless (no hysteresis, no hold-down, no candidate
-  // restriction); intended for analysis and ablations, not the
-  // per-packet fast path. `now` drives the staleness policy so
-  // graceful-degradation runs cannot relay through stale entries; the
-  // historical default (epoch) still treats never-published entries as
-  // unknown rather than perfect when entry_ttl is enabled.
-  [[nodiscard]] PathChoice best_loss_path_two_hop(NodeId dst,
-                                                  TimePoint now = TimePoint::epoch()) const;
-
   // Candidate intermediates that currently seem up, ascending: N(self) u
   // N(dst) without self and dst.
   [[nodiscard]] std::vector<NodeId> live_intermediates(NodeId dst) const;
@@ -192,13 +172,14 @@ class Router {
   // Snapshot support: incumbents, switch counters and hold-down state.
   // The path engine holds only per-query scratch and is not serialized.
   // restore_state rejects keys and incumbents that check_invariants
-  // would flag as out of range or malformed.
+  // would flag as out of range or malformed (an incumbent with a second
+  // relay among them: the router never selects one).
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 
   // Invariant auditor: hold-down strike monotonicity (strikes in [0,20],
   // bans bounded by holddown_max from the last down event), incumbent
-  // well-formedness, and flat-map key ordering.
+  // well-formedness (direct or one relay), and flat-map key ordering.
   void check_invariants(TimePoint now, std::vector<std::string>& out) const;
 
  private:

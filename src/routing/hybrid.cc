@@ -36,8 +36,7 @@ PathSpec HybridSender::alternate_path(NodeId src, NodeId dst, const PathSpec& pr
   RelayFilter filter;
   if (!primary.is_direct()) filter.excluded = primary_via;
   filter.include_direct = !primary.is_direct();
-  const EngineChoice cand =
-      alt_engine_->best_loss(src, dst, /*max_hops=*/1, TimePoint::epoch(), filter);
+  const EngineChoice cand = alt_engine_->best_loss(src, dst, TimePoint::epoch(), filter);
   if (!cand.valid) {
     // No candidate at all (tiny overlays): fall back to a random pick.
     return overlay_.route(src, dst, RouteTag::kRand);

@@ -8,7 +8,7 @@
 //        8     4  format version (currently 7; DESIGN.md §12 lists
 //                 what each version changed)
 //       12     8  context fingerprint (FNV-1a over scenario/scheme/
-//                 config/seed; see SimWorld::fingerprint)
+//                 config/seeds; see CellRun::cell_fingerprint)
 //       20     8  payload length in bytes
 //       28     n  payload (codec.h sections)
 //     28+n     8  CRC-64/XZ over bytes [0, 28+n)

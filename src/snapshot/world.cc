@@ -8,39 +8,21 @@ namespace ronpath {
 
 SimWorld::SimWorld(const Scenario& scenario, FaultScheme scheme, const FaultMatrixConfig& cfg,
                    std::uint64_t seed)
-    : FaultCellRun(scenario, scheme, cfg, seed),
-      scenario_name_(scenario.name),
-      dsl_(scenario.dsl),
-      seed_(seed) {}
+    : FaultCellRun(scenario, scheme, cfg, seed) {}
 
 std::uint64_t SimWorld::fingerprint() const {
-  using snap::fnv1a;
   using snap::fnv1a_u64;
-  std::uint64_t h = fnv1a(scenario_name_);
-  h = fnv1a(dsl_, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(scheme_), h);
-  h = fnv1a_u64(seed_, h);
-  h = fnv1a_u64(cfg_.node_count, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.warmup.count_nanos()), h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.measured.count_nanos()), h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.send_interval.count_nanos()), h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.stable_streak), h);
-  h = fnv1a_u64(cfg_.graceful_degradation ? 1 : 0, h);
+  std::uint64_t h = fnv1a_u64(static_cast<std::uint64_t>(scheme_), cell_fingerprint());
   h = fnv1a_u64(static_cast<std::uint64_t>(fault_start_.since_epoch().count_nanos()), h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(fault_duration_.count_nanos()), h);
-  // Scaling knobs (DESIGN.md §14).
-  h = fnv1a_u64(cfg_.synth_nodes, h);
-  h = fnv1a_u64(cfg_.overlay_fanout, h);
-  h = fnv1a_u64(cfg_.overlay_landmarks, h);
-  return h;
+  return fnv1a_u64(static_cast<std::uint64_t>(fault_duration_.count_nanos()), h);
 }
 
 std::string SimWorld::report() const {
   char buf[256];
   std::string out;
   out += "== sim world ==\n";
-  out += "scenario " + scenario_name_ + " | scheme " + std::string(to_string(scheme_)) +
-         " | seed " + std::to_string(seed_) + " | nodes " + std::to_string(env_.topo.size()) +
+  out += "scenario " + scenario_name() + " | scheme " + std::string(to_string(scheme_)) +
+         " | seed " + std::to_string(seed()) + " | nodes " + std::to_string(env_.topo.size()) +
          "\n";
   std::snprintf(buf, sizeof buf, "clock %lldns | dispatched %llu | next-seq %llu",
                 static_cast<long long>(env_.sched.now().since_epoch().count_nanos()),

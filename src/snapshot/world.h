@@ -24,8 +24,7 @@ namespace ronpath {
 class SimWorld : public FaultCellRun {
  public:
   // Throws std::runtime_error when the scenario DSL does not parse.
-  // The scenario's strings are copied, so callers may pass synthesized
-  // schedules with transient backing storage (the soak harness does).
+  // The scenario's strings are copied (see CellRun).
   SimWorld(const Scenario& scenario, FaultScheme scheme, const FaultMatrixConfig& cfg,
            std::uint64_t seed);
 
@@ -33,9 +32,10 @@ class SimWorld : public FaultCellRun {
   [[nodiscard]] std::size_t total_sends() const { return total_steps(); }
   [[nodiscard]] std::size_t next_send() const { return next_step(); }
 
-  // Identity of this world: FNV-1a over scenario, scheme, config and
-  // seed. Sealed into snapshot files so a snapshot cannot be restored
-  // into a differently-configured world.
+  // Identity of this world: the cell's identity (scenario, config and
+  // seeds; CellRun::cell_fingerprint) plus the scheme and fault window.
+  // Sealed into snapshot files so a snapshot cannot be restored into a
+  // differently-configured world.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   // Deterministic text report: scenario identity, clock/event/net/probe
@@ -43,11 +43,6 @@ class SimWorld : public FaultCellRun {
   // metrics. Byte-identical between an uninterrupted run and any
   // kill/restore schedule — the soak harness's ground truth.
   [[nodiscard]] std::string report() const;
-
- private:
-  std::string scenario_name_;
-  std::string dsl_;
-  std::uint64_t seed_;
 };
 
 }  // namespace ronpath

@@ -44,12 +44,10 @@ std::span<const WorkloadPolicy> all_workload_policies() { return kPolicies; }
 WorkloadWorld::WorkloadWorld(const Scenario& scenario, WorkloadPolicy policy,
                              const WorkloadConfig& cfg, std::uint64_t seed)
     : CellRun(scenario, sender_mode(policy), validated(cfg).cell, seed, "WKLD"),
-      scenario_name_(scenario.name),
-      dsl_(scenario.dsl),
       policy_(policy),
-      cfg_(cfg),
-      seed_(seed),
-      traffic_(cfg_.spec, env_.topo.size(), measure_start(), end_time(),
+      spec_(cfg.spec),
+      adaptive_(cfg.adaptive),
+      traffic_(spec_, env_.topo.size(), measure_start(), end_time(),
                Rng(seed).fork("workload")) {
   nodes_ = env_.topo.size();
   // The packet schedule: every flow's CBR packets, clipped to the
@@ -80,7 +78,7 @@ WorkloadWorld::WorkloadWorld(const Scenario& scenario, WorkloadPolicy policy,
 
 Duration WorkloadWorld::charge_access(NodeId src, double bytes, TimePoint t) {
   AccessBucket& b = buckets_[src];
-  const double cap = cfg_.spec.access_bytes_per_s;
+  const double cap = spec_.access_bytes_per_s;
   const double drained = (t - b.last).to_seconds_f() * cap;
   b.backlog_bytes = std::max(0.0, b.backlog_bytes - drained);
   b.last = t;
@@ -92,7 +90,7 @@ Duration WorkloadWorld::charge_access(NodeId src, double bytes, TimePoint t) {
 void WorkloadWorld::score_packet(const Flow& flow, FlowProgress& fp, bool delivered,
                                  Duration latency) {
   const std::size_t cls = static_cast<std::size_t>(flow.cls);
-  const ClassSpec& cs = cfg_.spec.classes[cls];
+  const ClassSpec& cs = spec_.classes[cls];
   const bool slo_ok = delivered && latency <= cs.slo_latency;
   metrics_[cls].note_packet(delivered, latency, slo_ok);
   if (delivered) {
@@ -110,11 +108,11 @@ void WorkloadWorld::flush_block(std::uint32_t flow_idx, TimePoint t) {
   if (fp.block.empty()) return;
   const Flow& flow = traffic_.flows()[flow_idx];
   const std::size_t cls = static_cast<std::size_t>(flow.cls);
-  const ClassSpec& cs = cfg_.spec.classes[cls];
+  const ClassSpec& cs = spec_.classes[cls];
   const std::size_t pair = pair_index(flow.src, flow.dst);
   const std::size_t k_eff = fp.block.size();
   const std::size_t m =
-      ctrl_[pair * kServiceClassCount + cls].parity(cfg_.adaptive, loss_est_[pair]);
+      ctrl_[pair * kServiceClassCount + cls].parity(adaptive_, loss_est_[pair]);
 
   // Parity shards ride the duplicate's disjoint detour relative to the
   // current primary path (shared disjointness logic with HybridSender).
@@ -174,7 +172,7 @@ void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
   const Flow& flow = traffic_.flows()[ev.flow];
   FlowProgress& fp = progress_[ev.flow];
   const std::size_t cls = static_cast<std::size_t>(flow.cls);
-  const ClassSpec& cs = cfg_.spec.classes[cls];
+  const ClassSpec& cs = spec_.classes[cls];
   const std::size_t pair = pair_index(flow.src, flow.dst);
 
   RedundancyLevel level = RedundancyLevel::kSingle;
@@ -187,8 +185,8 @@ void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
       break;
     case WorkloadPolicy::kAdaptive: {
       AdaptiveController& ctrl = ctrl_[pair * kServiceClassCount + cls];
-      ctrl.update(cfg_.adaptive, loss_est_[pair], cs.slo_loss_pct / 100.0,
-                  cs.capacity_fraction(cfg_.spec.access_bytes_per_s), ev.t);
+      ctrl.update(adaptive_, loss_est_[pair], cs.slo_loss_pct / 100.0,
+                  cs.capacity_fraction(spec_.access_bytes_per_s), ev.t);
       level = ctrl.level();
       break;
     }
@@ -231,14 +229,14 @@ void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
       shard.delivered = res.delivered();
       shard.arrival = res.delivered() ? ev.t + res.net.latency + queue_delay : ev.t;
       fp.block.push_back(shard);
-      if (fp.block.size() >= cfg_.adaptive.fec_k) flush_block(ev.flow, ev.t);
+      if (fp.block.size() >= adaptive_.fec_k) flush_block(ev.flow, ev.t);
       break;
     }
   }
   ++app_packets_;
   loss_est_[pair] =
-      (1.0 - cfg_.adaptive.loss_alpha) * loss_est_[pair] +
-      cfg_.adaptive.loss_alpha * (primary_lost ? 1.0 : 0.0);
+      (1.0 - adaptive_.loss_alpha) * loss_est_[pair] +
+      adaptive_.loss_alpha * (primary_lost ? 1.0 : 0.0);
   if (ev.index == flow.packets - 1) finish_flow(ev.flow, ev.t);
 }
 
@@ -263,22 +261,10 @@ std::int64_t WorkloadWorld::transitions() const {
 }
 
 std::uint64_t WorkloadWorld::fingerprint() const {
-  using snap::fnv1a;
   using snap::fnv1a_u64;
   const auto f = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  std::uint64_t h = fnv1a(scenario_name_);
-  h = fnv1a(dsl_, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(policy_), h);
-  h = fnv1a_u64(seed_, h);
-  const FaultMatrixConfig& c = cfg_.cell;
-  h = fnv1a_u64(c.node_count, h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(c.warmup.count_nanos()), h);
-  h = fnv1a_u64(static_cast<std::uint64_t>(c.measured.count_nanos()), h);
-  h = fnv1a_u64(c.graceful_degradation ? 1 : 0, h);
-  h = fnv1a_u64(c.synth_nodes, h);
-  h = fnv1a_u64(c.overlay_fanout, h);
-  h = fnv1a_u64(c.overlay_landmarks, h);
-  const WorkloadSpec& s = cfg_.spec;
+  std::uint64_t h = fnv1a_u64(static_cast<std::uint64_t>(policy_), cell_fingerprint());
+  const WorkloadSpec& s = spec_;
   h = fnv1a_u64(f(s.population), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(s.peak_hour), h);
   h = fnv1a_u64(f(s.trough), h);
@@ -298,7 +284,7 @@ std::uint64_t WorkloadWorld::fingerprint() const {
     h = fnv1a_u64(static_cast<std::uint64_t>(cs.slo_latency.count_nanos()), h);
     h = fnv1a_u64(f(cs.slo_loss_pct), h);
   }
-  const AdaptiveConfig& a = cfg_.adaptive;
+  const AdaptiveConfig& a = adaptive_;
   h = fnv1a_u64(f(a.loss_alpha), h);
   h = fnv1a_u64(f(a.exit_margin), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(a.min_dwell.count_nanos()), h);
@@ -377,15 +363,15 @@ std::string WorkloadWorld::report() const {
   char buf[256];
   std::string out;
   out += "== workload world ==\n";
-  out += "scenario " + scenario_name_ + " | policy " + std::string(to_string(policy_)) +
-         " | seed " + std::to_string(seed_) + " | nodes " + std::to_string(nodes_) + "\n";
+  out += "scenario " + scenario_name() + " | policy " + std::string(to_string(policy_)) +
+         " | seed " + std::to_string(seed()) + " | nodes " + std::to_string(nodes_) + "\n";
   std::snprintf(buf, sizeof buf, "clock %lldns | packets %zu/%zu | flows %zu\n",
                 static_cast<long long>(env_.sched.now().since_epoch().count_nanos()),
                 next_step(), schedule_.size(), traffic_.flows().size());
   out += buf;
   for (std::size_t c = 0; c < kServiceClassCount; ++c) {
     const ClassMetrics& m = metrics_[c];
-    const ClassSpec& cs = cfg_.spec.classes[c];
+    const ClassSpec& cs = spec_.classes[c];
     std::snprintf(buf, sizeof buf,
                   "%-5s sent %llu delivered %llu loss %.10f%% p50 %.6fms p99 %.6fms "
                   "p999 %.6fms slo %.10f%% mos %.6f bursts %llu\n",

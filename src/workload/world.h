@@ -89,8 +89,9 @@ class WorkloadWorld : public CellRun {
   [[nodiscard]] std::int64_t fec_blocks() const { return fec_blocks_; }
   [[nodiscard]] std::int64_t fec_recovered() const { return fec_recovered_; }
 
-  // Identity sealed into snapshot files (scenario, policy, config, seed,
-  // full workload spec).
+  // Identity sealed into snapshot files: the cell's identity (scenario,
+  // cell config and seeds; CellRun::cell_fingerprint) plus the policy,
+  // the full workload spec and the adaptive config.
   [[nodiscard]] std::uint64_t fingerprint() const;
 
   // Deterministic text report: progress, per-class table, overhead,
@@ -142,12 +143,11 @@ class WorkloadWorld : public CellRun {
   // End-of-flow bookkeeping (close the burst run).
   void finish_flow(std::uint32_t flow_idx, TimePoint t);
 
-  // Configuration (immutable after construction).
-  std::string scenario_name_;
-  std::string dsl_;
+  // Configuration (immutable after construction; the cell's own part
+  // lives in CellRun).
   WorkloadPolicy policy_;
-  WorkloadConfig cfg_;
-  std::uint64_t seed_;
+  WorkloadSpec spec_;
+  AdaptiveConfig adaptive_;
   std::size_t nodes_ = 0;
 
   TrafficMatrix traffic_;

@@ -63,8 +63,8 @@ TEST(Degradation, ExpiredEntriesEstimateAsUnknown) {
   // Stale view: a stale "0.1% loss" must not be trusted forever.
   EXPECT_DOUBLE_EQ(path_loss_estimate(t, direct, cfg, at_s(120)), cfg.unknown_loss);
   EXPECT_EQ(path_latency_estimate(t, direct, cfg, at_s(120)), Duration::max());
-  // The historical two-argument overload stays trust-forever.
-  EXPECT_DOUBLE_EQ(path_loss_estimate(t, direct), 0.001);
+  // Without a TTL the same stale entry is trusted forever.
+  EXPECT_DOUBLE_EQ(path_loss_estimate(t, direct, RouterConfig{}, at_s(120)), 0.001);
 }
 
 TEST(Degradation, UnknownLatencyDoesNotOverflowComposition) {

@@ -14,11 +14,13 @@
 //     count must match — this is what proves label chains that revisit
 //     nodes never win a query.
 //
-// Additional legacy-equivalence checks pin the engine to the historical
-// router scans it replaced: the one-hop evaluate loop (paths bitwise)
-// and the interleaved two-hop scan (values bitwise). Capped-graph cases
-// pin the one-relay scan over sparse tables: the router's query (relays
-// from the two endpoint rows) and the hybrid alternate's (every node,
+// The one-relay queries (relay filters, both objectives) are pinned at
+// k = 1 and the unfiltered loss round search at k = 1..3. Additional
+// legacy-equivalence checks pin the engine to the historical router
+// scans it replaced: the one-hop evaluate loop (paths bitwise) and the
+// interleaved two-hop scan (values bitwise). Capped-graph cases pin the
+// one-relay scan over sparse tables: the router's query (relays from
+// the two endpoint rows) and the hybrid alternate's (every node,
 // trusting entries forever).
 //
 // Case count is overridable via RONPATH_DIFF_CASES (the Release CI job
@@ -233,9 +235,10 @@ NaiveChoice naive_best_loss(const NaiveLabels& L, const LinkStateTable& t, const
   return best;
 }
 
+// The latency objective is a one-relay query: round 1 of the labels.
 NaiveChoice naive_best_latency(const NaiveLabels& L, const LinkStateTable& t,
-                               const RouterConfig& cfg, NodeId src, NodeId dst, int k,
-                               TimePoint now, bool include_direct) {
+                               const RouterConfig& cfg, NodeId src, NodeId dst, TimePoint now,
+                               bool include_direct) {
   NaiveChoice best;
   best.valid = false;
   if (include_direct) {
@@ -243,19 +246,15 @@ NaiveChoice naive_best_latency(const NaiveLabels& L, const LinkStateTable& t,
     best.latency = link_latency(t.get(src, dst), cfg, now);
     best.hops = 0;
   }
-  for (int r = 1; r <= k; ++r) {
-    const std::size_t i = static_cast<std::size_t>(r) * L.n + dst;
-    if (L.lpar[i] == kInvalidNode) continue;
-    Duration fwd = cfg.forward_delay;
-    for (int j = 1; j < r; ++j) fwd = fwd + cfg.forward_delay;
-    Duration cand = Duration::saturating_add(L.lval[i], fwd);
-    if (cand != Duration::max()) cand += cfg.indirect_lat_penalty * r;
-    if (!best.valid || cand < best.latency) {
-      best.valid = true;
-      best.latency = cand;
-      best.hops = r;
-      best.relays = naive_chain(L.lpar, L.n, r, dst);
-    }
+  const std::size_t i = L.n + dst;
+  if (L.lpar[i] == kInvalidNode) return best;
+  Duration cand = Duration::saturating_add(L.lval[i], cfg.forward_delay);
+  if (cand != Duration::max()) cand += cfg.indirect_lat_penalty;
+  if (!best.valid || cand < best.latency) {
+    best.valid = true;
+    best.latency = cand;
+    best.hops = 1;
+    best.relays = naive_chain(L.lpar, L.n, 1, dst);
   }
   return best;
 }
@@ -327,7 +326,7 @@ EnumBest enum_best_loss(const LinkStateTable& t, const RouterConfig& cfg, NodeId
 }
 
 EnumBest enum_best_latency(const LinkStateTable& t, const RouterConfig& cfg, NodeId src,
-                           NodeId dst, int k, TimePoint now, const std::vector<bool>* excluded,
+                           NodeId dst, TimePoint now, const std::vector<bool>* excluded,
                            bool include_direct) {
   EnumBest best;
   if (include_direct) {
@@ -335,25 +334,16 @@ EnumBest enum_best_latency(const LinkStateTable& t, const RouterConfig& cfg, Nod
     best.latency = link_latency(t.get(src, dst), cfg, now);
     best.hops = 0;
   }
-  const auto pool = relay_pool(t, src, dst, excluded);
-  std::vector<NodeId> tuple;
-  for (int r = 1; r <= k; ++r) {
-    for_each_tuple(pool, r, tuple, [&](const std::vector<NodeId>& relays) {
-      Duration d = link_latency(t.get(src, relays[0]), cfg, now);
-      for (std::size_t j = 1; j < relays.size(); ++j) {
-        d = Duration::saturating_add(d, link_latency(t.get(relays[j - 1], relays[j]), cfg, now));
-      }
-      d = Duration::saturating_add(d, link_latency(t.get(relays.back(), dst), cfg, now));
-      Duration fwd = cfg.forward_delay;
-      for (int j = 1; j < r; ++j) fwd = fwd + cfg.forward_delay;
-      Duration cand = Duration::saturating_add(d, fwd);
-      if (cand != Duration::max()) cand += cfg.indirect_lat_penalty * r;
-      if (!best.valid || cand < best.latency) {
-        best.valid = true;
-        best.latency = cand;
-        best.hops = r;
-      }
-    });
+  for (const NodeId v : relay_pool(t, src, dst, excluded)) {
+    const Duration d = Duration::saturating_add(link_latency(t.get(src, v), cfg, now),
+                                                link_latency(t.get(v, dst), cfg, now));
+    Duration cand = Duration::saturating_add(d, cfg.forward_delay);
+    if (cand != Duration::max()) cand += cfg.indirect_lat_penalty;
+    if (!best.valid || cand < best.latency) {
+      best.valid = true;
+      best.latency = cand;
+      best.hops = 1;
+    }
   }
   return best;
 }
@@ -367,7 +357,9 @@ std::vector<NodeId> engine_relays(const EngineChoice& c) {
 }
 
 // ---------------------------------------------------------------------
-// Per-query mode vs both references, both objectives.
+// Every query vs both references: the unfiltered loss round search at a
+// random depth, and the filtered one-relay queries under both
+// objectives.
 
 TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
   const int cases = diff_cases(5500);
@@ -389,20 +381,35 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
     const bool include_direct = !rng.bernoulli(0.25);
 
     PathEngine engine(table, cfg);
-    const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, k, now, mask);
+    {
+      SCOPED_TRACE("rounds k=" + std::to_string(k));
+      const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, k, now, nullptr);
+      const EngineChoice e = engine.best_loss(src, dst, k, now);
+      const NaiveChoice nv = naive_best_loss(L, table, cfg, src, dst, k, now, true);
+      ASSERT_TRUE(e.valid);
+      ASSERT_TRUE(nv.valid);
+      ASSERT_EQ(e.loss, nv.loss);  // bitwise: same expression DAG
+      ASSERT_EQ(e.hop_count, nv.hops);
+      ASSERT_EQ(engine_relays(e), nv.relays);
+      const EnumBest en = enum_best_loss(table, cfg, src, dst, k, now, nullptr, true);
+      ASSERT_TRUE(en.valid);
+      ASSERT_EQ(e.loss, en.loss);
+      ASSERT_EQ(e.hop_count, en.hops);
+    }
+
+    const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, 1, now, mask);
     const std::vector<NodeId> barred = barred_list(mask);
     const RelayFilter filter{.excluded = barred, .include_direct = include_direct};
-
     {
-      const EngineChoice e = engine.best_loss(src, dst, k, now, filter);
-      const NaiveChoice nv = naive_best_loss(L, table, cfg, src, dst, k, now, include_direct);
+      const EngineChoice e = engine.best_loss(src, dst, now, filter);
+      const NaiveChoice nv = naive_best_loss(L, table, cfg, src, dst, 1, now, include_direct);
       ASSERT_EQ(e.valid, nv.valid);
       if (e.valid) {
-        ASSERT_EQ(e.loss, nv.loss);  // bitwise: same expression DAG
+        ASSERT_EQ(e.loss, nv.loss);
         ASSERT_EQ(e.hop_count, nv.hops);
         ASSERT_EQ(engine_relays(e), nv.relays);
       }
-      const EnumBest en = enum_best_loss(table, cfg, src, dst, k, now, mask, include_direct);
+      const EnumBest en = enum_best_loss(table, cfg, src, dst, 1, now, mask, include_direct);
       ASSERT_EQ(e.valid, en.valid);
       if (e.valid) {
         ASSERT_EQ(e.loss, en.loss);
@@ -410,15 +417,15 @@ TEST(PathEngineDiff, MatchesNaiveAndEnumerationOnRandomTables) {
       }
     }
     {
-      const EngineChoice e = engine.best_latency(src, dst, k, now, filter);
-      const NaiveChoice nv = naive_best_latency(L, table, cfg, src, dst, k, now, include_direct);
+      const EngineChoice e = engine.best_latency(src, dst, now, filter);
+      const NaiveChoice nv = naive_best_latency(L, table, cfg, src, dst, now, include_direct);
       ASSERT_EQ(e.valid, nv.valid);
       if (e.valid) {
         ASSERT_EQ(e.latency, nv.latency);
         ASSERT_EQ(e.hop_count, nv.hops);
         ASSERT_EQ(engine_relays(e), nv.relays);
       }
-      const EnumBest en = enum_best_latency(table, cfg, src, dst, k, now, mask, include_direct);
+      const EnumBest en = enum_best_latency(table, cfg, src, dst, now, mask, include_direct);
       ASSERT_EQ(e.valid, en.valid);
       if (e.valid) {
         ASSERT_EQ(e.latency, en.latency);
@@ -467,7 +474,7 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
           best_loss = l;
         }
       }
-      const EngineChoice e = engine.best_loss(src, dst, 1, now, {.excluded = barred});
+      const EngineChoice e = engine.best_loss(src, dst, now, {.excluded = barred});
       ASSERT_TRUE(e.valid);
       ASSERT_EQ(e.path.to_spec(src, dst), best);
       ASSERT_EQ(e.loss, best_loss);
@@ -488,7 +495,7 @@ TEST(PathEngineDiff, OneHopMatchesLegacyRouterScan) {
           best_lat = d;
         }
       }
-      const EngineChoice e = engine.best_latency(src, dst, 1, now, {.excluded = barred});
+      const EngineChoice e = engine.best_latency(src, dst, now, {.excluded = barred});
       ASSERT_TRUE(e.valid);
       ASSERT_EQ(e.path.to_spec(src, dst), best);
       ASSERT_EQ(e.latency, best_lat);
@@ -515,20 +522,20 @@ TEST(PathEngineDiff, TwoHopValueMatchesLegacyInterleavedScan) {
     auto dst = static_cast<NodeId>(rng.next_below(n));
     if (dst == src) dst = static_cast<NodeId>((dst + 1) % n);
 
-    // Historical best_loss_path_two_hop loop, verbatim.
+    // The historical interleaved two-relay loop, verbatim.
     const PathSpec direct{src, dst, kDirectVia};
-    double best_loss = path_loss_estimate(table, direct);
+    double best_loss = path_loss_estimate(table, direct, cfg, now);
     std::vector<NodeId> vias;
     for (NodeId v = 0; v < n; ++v) {
       if (v != src && v != dst && table.node_seems_up(v)) vias.push_back(v);
     }
     for (NodeId v1 : vias) {
       const double l1 =
-          path_loss_estimate(table, PathSpec{src, dst, v1}) + cfg.indirect_loss_penalty;
+          path_loss_estimate(table, PathSpec{src, dst, v1}, cfg, now) + cfg.indirect_loss_penalty;
       if (l1 < best_loss) best_loss = l1;
       for (NodeId v2 : vias) {
         if (v2 == v1) continue;
-        const double l2 = path_loss_estimate(table, PathSpec{src, dst, v1, v2}) +
+        const double l2 = path_loss_estimate(table, PathSpec{src, dst, v1, v2}, cfg, now) +
                           2.0 * cfg.indirect_loss_penalty;
         if (l2 < best_loss) best_loss = l2;
       }
@@ -541,7 +548,7 @@ TEST(PathEngineDiff, TwoHopValueMatchesLegacyInterleavedScan) {
     // The engine's chosen path re-evaluates to its claimed value.
     const PathSpec spec = e.path.to_spec(src, dst);
     const double repriced =
-        path_loss_estimate(table, spec) +
+        path_loss_estimate(table, spec, cfg, now) +
         static_cast<double>(e.hop_count) * cfg.indirect_loss_penalty;
     ASSERT_EQ(repriced, e.loss);
   }
@@ -626,19 +633,16 @@ TEST(PathEngineDiff, CappedGraphScansMatchNaive) {
       const RelayFilter filter{
           .endpoint_rows = true, .excluded = barred, .include_direct = include_direct};
       PathEngine engine(table, cfg);
-      for (int k = 1; k <= 2; ++k) {
-        SCOPED_TRACE("router k=" + std::to_string(k));
-        const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, k, now, &mask);
-        expect_same(engine.best_loss(src, dst, k, now, filter),
-                    naive_best_loss(L, table, cfg, src, dst, k, now, include_direct));
-        // The loss scan evaluated fewer relays than the pool holds only
-        // if it stopped early.
-        if (k == 1 && engine.stats().edges_relaxed < relay_pool(table, src, dst, &mask).size()) {
-          ++router_exits;
-        }
-        expect_same(engine.best_latency(src, dst, k, now, filter),
-                    naive_best_latency(L, table, cfg, src, dst, k, now, include_direct));
+      const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, 1, now, &mask);
+      expect_same(engine.best_loss(src, dst, now, filter),
+                  naive_best_loss(L, table, cfg, src, dst, 1, now, include_direct));
+      // The loss scan evaluated fewer relays than the pool holds only if
+      // it stopped early.
+      if (engine.stats().edges_relaxed < relay_pool(table, src, dst, &mask).size()) {
+        ++router_exits;
       }
+      expect_same(engine.best_latency(src, dst, now, filter),
+                  naive_best_latency(L, table, cfg, src, dst, now, include_direct));
     }
     // Alternate query: every node is a candidate, entries trusted
     // forever, so a relay adjacent to neither endpoint reads two
@@ -649,11 +653,11 @@ TEST(PathEngineDiff, CappedGraphScansMatchNaive) {
       const RelayFilter filter{.excluded = barred, .include_direct = include_direct};
       PathEngine engine(table, cfg);
       const NaiveLabels L = naive_labels(table, cfg, src, /*ban=*/dst, 1, now, held);
-      expect_same(engine.best_loss(src, dst, 1, now, filter),
+      expect_same(engine.best_loss(src, dst, now, filter),
                   naive_best_loss(L, table, cfg, src, dst, 1, now, include_direct));
       if (engine.stats().edges_relaxed < relay_pool(table, src, dst, held).size()) ++alt_exits;
-      expect_same(engine.best_latency(src, dst, 1, now, filter),
-                  naive_best_latency(L, table, cfg, src, dst, 1, now, include_direct));
+      expect_same(engine.best_latency(src, dst, now, filter),
+                  naive_best_latency(L, table, cfg, src, dst, now, include_direct));
     }
     if (HasFatalFailure()) return;
   }

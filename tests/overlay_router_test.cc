@@ -9,6 +9,7 @@
 #include "net/scale_topology.h"
 #include "overlay/link_state.h"
 #include "overlay/neighbors.h"
+#include "overlay/path_engine.h"
 #include "snapshot/codec.h"
 
 namespace ronpath {
@@ -38,21 +39,26 @@ void fill(LinkStateTable& t, double loss, Duration lat) {
 TEST(PathEstimates, DirectUsesSingleLink) {
   LinkStateTable t(3);
   fill(t, 0.01, Duration::millis(50));
-  EXPECT_DOUBLE_EQ(path_loss_estimate(t, PathSpec{0, 1, kDirectVia}), 0.01);
+  EXPECT_DOUBLE_EQ(path_loss_estimate(t, PathSpec{0, 1, kDirectVia}, RouterConfig{},
+                                      TimePoint::epoch()),
+                   0.01);
 }
 
 TEST(PathEstimates, IndirectComposesLoss) {
   LinkStateTable t(3);
   fill(t, 0.1, Duration::millis(50));
   const double expected = 1.0 - 0.9 * 0.9;
-  EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2}), expected, 1e-12);
+  EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2}, RouterConfig{}, TimePoint::epoch()),
+              expected, 1e-12);
 }
 
 TEST(PathEstimates, DownLinkIsTotalLoss) {
   LinkStateTable t(3);
   fill(t, 0.0, Duration::millis(10));
   t.publish(0, 1, metrics(0.0, Duration::millis(10), /*down=*/true));
-  EXPECT_DOUBLE_EQ(path_loss_estimate(t, PathSpec{0, 1, kDirectVia}), 1.0);
+  EXPECT_DOUBLE_EQ(path_loss_estimate(t, PathSpec{0, 1, kDirectVia}, RouterConfig{},
+                                      TimePoint::epoch()),
+                   1.0);
   EXPECT_TRUE(path_down(t, PathSpec{0, 1, kDirectVia}));
   EXPECT_TRUE(path_down(t, PathSpec{0, 2, 1}));
 }
@@ -62,7 +68,8 @@ TEST(PathEstimates, LatencySumsWithForwarding) {
   fill(t, 0.0, Duration::millis(30));
   RouterConfig cfg;
   cfg.forward_delay = Duration::millis(1);
-  EXPECT_EQ(path_latency_estimate(t, PathSpec{0, 1, 2}, cfg), Duration::millis(61));
+  EXPECT_EQ(path_latency_estimate(t, PathSpec{0, 1, 2}, cfg, TimePoint::epoch()),
+            Duration::millis(61));
 }
 
 TEST(PathEstimates, UnmeasuredLatencySaturates) {
@@ -70,7 +77,8 @@ TEST(PathEstimates, UnmeasuredLatencySaturates) {
   fill(t, 0.0, Duration::millis(30));
   t.publish(0, 2, metrics(0.0, Duration::max()));
   RouterConfig cfg;
-  EXPECT_EQ(path_latency_estimate(t, PathSpec{0, 1, 2}, cfg), Duration::max());
+  EXPECT_EQ(path_latency_estimate(t, PathSpec{0, 1, 2}, cfg, TimePoint::epoch()),
+            Duration::max());
 }
 
 TEST(Router, PrefersDirectOnTies) {
@@ -242,33 +250,39 @@ TEST(Router, TwoHopComposesLoss) {
   LinkStateTable t(4);
   fill(t, 0.1, Duration::millis(50));
   const double expected = 1.0 - 0.9 * 0.9 * 0.9;
-  EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2, 3}), expected, 1e-12);
+  EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2, 3}, RouterConfig{}, TimePoint::epoch()),
+              expected, 1e-12);
 }
 
 TEST(Router, TwoHopSelectorFindsCleanRelayChain) {
   // Direct and ALL single-hop alternates are poisoned; only the chain
-  // 0 -> 2 -> 3 -> 1 is clean.
+  // 0 -> 2 -> 3 -> 1 is clean. The router stops at one relay; the path
+  // engine's two-round search finds the chain.
   LinkStateTable t(4);
   fill(t, 0.5, Duration::millis(40));
   t.publish(0, 2, metrics(0.0, Duration::millis(40)));
   t.publish(2, 3, metrics(0.0, Duration::millis(40)));
   t.publish(3, 1, metrics(0.0, Duration::millis(40)));
-  Router r(0, t, RouterConfig{});
+  const RouterConfig cfg;
+  Router r(0, t, cfg);
   const auto one = r.best_loss_path(1);
-  const auto two = r.best_loss_path_two_hop(1);
   EXPECT_GT(one.loss, 0.4);
-  EXPECT_TRUE(two.path.is_two_hop());
-  EXPECT_EQ(two.path.via, 2);
-  EXPECT_EQ(two.path.via2, 3);
+  EXPECT_FALSE(one.path.is_two_hop());
+  PathEngine engine(t, cfg);
+  const EngineChoice two = engine.best_loss(0, 1, 2, TimePoint::epoch());
+  ASSERT_EQ(two.path.count, 2);
+  EXPECT_EQ(two.path.hops[0], 2);
+  EXPECT_EQ(two.path.hops[1], 3);
   EXPECT_LT(two.loss, 0.1);
 }
 
 TEST(Router, TwoHopPrefersSimplerPathsOnTies) {
   LinkStateTable t(5);
   fill(t, 0.0, Duration::millis(40));
-  Router r(0, t, RouterConfig{});
+  const RouterConfig cfg;
+  PathEngine engine(t, cfg);
   // Everything clean: direct wins (penalties bias against hops).
-  EXPECT_TRUE(r.best_loss_path_two_hop(1).path.is_direct());
+  EXPECT_TRUE(engine.best_loss(0, 1, 2, TimePoint::epoch()).path.is_direct());
 }
 
 TEST(LinkStateTable, NodeSeemsUpBeforeAnyProbes) {

@@ -551,6 +551,7 @@ TEST(SnapshotRouter, MalformedIncumbentIsRejected) {
   const Case cases[] = {
       {"via = n", self, 1, n, kDirectVia},
       {"via2 = n", self, 1, 2, n},
+      {"a second relay: the router selects at most one", self, 1, 2, 0},
       {"src != self", 0, 1, 2, kDirectVia},
       {"dst != key", self, 2, 0, kDirectVia},
       {"via = 65538, node 2 once narrowed", self, 1, 65538, kDirectVia},

@@ -76,6 +76,13 @@ TEST(SnapshotScale, FingerprintSeparatesScaleConfigs) {
   other.overlay_landmarks = 7;
   SimWorld different_landmarks(link_flap(), FaultScheme::kHybrid, other, other.seed);
   EXPECT_NE(world.fingerprint(), different_landmarks.fingerprint());
+
+  // cfg.seed seeds the synthetic topology: a different one is a
+  // different world even under the same world seed.
+  other = base;
+  other.seed = base.seed + 1;
+  SimWorld different_topology(link_flap(), FaultScheme::kHybrid, other, base.seed);
+  EXPECT_NE(world.fingerprint(), different_topology.fingerprint());
 }
 
 }  // namespace

@@ -91,8 +91,8 @@ TEST(WorkloadSnapshot, FingerprintSealsIdentity) {
   world.save_state(e);
   const std::vector<std::uint8_t> file = snap::seal(world.fingerprint(), e.bytes());
 
-  // Different seed, policy, or spec => different fingerprint => unseal
-  // must refuse.
+  // Different seed, policy, spec or cell config => different fingerprint
+  // => unseal must refuse.
   WorkloadWorld other_seed(scenario, WorkloadPolicy::kAdaptive, cfg, 43);
   EXPECT_NE(other_seed.fingerprint(), world.fingerprint());
   EXPECT_THROW((void)snap::unseal(file, other_seed.fingerprint()), snap::SnapshotError);
@@ -104,6 +104,13 @@ TEST(WorkloadSnapshot, FingerprintSealsIdentity) {
   other_cfg.spec.population *= 2.0;
   WorkloadWorld other_spec(scenario, WorkloadPolicy::kAdaptive, other_cfg, 42);
   EXPECT_NE(other_spec.fingerprint(), world.fingerprint());
+
+  // The cell's topology seed, under the same world seed.
+  WorkloadConfig other_cell;
+  other_cell.cell.seed = cfg.cell.seed + 1;
+  WorkloadWorld other_topology(scenario, WorkloadPolicy::kAdaptive, other_cell, 42);
+  EXPECT_NE(other_topology.fingerprint(), world.fingerprint());
+  EXPECT_THROW((void)snap::unseal(file, other_topology.fingerprint()), snap::SnapshotError);
 
   // The matching fingerprint still unseals.
   WorkloadWorld same(scenario, WorkloadPolicy::kAdaptive, cfg, 42);
