@@ -1,12 +1,27 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
 #include "snapshot/codec.h"
 
 namespace ronpath {
+
+namespace {
+
+// The core index's first capacity, sized from the id space: a small
+// topology fits every core segment at half load and never rehashes,
+// while a large one starts here and doubles as segments are built.
+constexpr std::size_t kMaxInitialCoreSlots = 1024;
+
+std::size_t initial_core_slots(const Topology& topo) {
+  const std::size_t cores = topo.component_count() - kSiteCompCount * topo.size();
+  return std::bit_ceil(std::clamp<std::size_t>(2 * cores, 16, kMaxInitialCoreSlots));
+}
+
+}  // namespace
 
 std::string_view to_string(DropCause cause) {
   switch (cause) {
@@ -26,7 +41,8 @@ Network::Network(Topology topology, NetConfig config, Duration horizon, Rng rng)
       stretch_rng_(rng.fork("core-stretch")),
       hit_root_(rng.fork("event-hits")),
       component_root_(rng.fork("component")),
-      components_(topo_.component_count()),
+      sites_(kSiteCompCount * topo_.size()),
+      cores_(initial_core_slots(topo_)),
       pkt_rng_(rng.fork("packets")) {
   // Pregenerate provider-level events per site over the run horizon.
   const std::size_t n = topo_.size();
@@ -49,6 +65,50 @@ Network::Network(Topology topology, NetConfig config, Duration horizon, Rng rng)
   }
 }
 
+Network::CoreIndex::CoreIndex(std::size_t capacity)
+    : slots_(capacity),
+      mask_(capacity - 1),
+      shift_(64 - std::countr_zero(capacity)) {
+  assert(capacity >= 2 && std::has_single_bit(capacity));
+}
+
+void Network::CoreIndex::place(Slot slot) {
+  std::size_t i = home(slot.id);
+  while (slots_[i].rec) i = (i + 1) & mask_;
+  slots_[i] = std::move(slot);
+}
+
+Network::Component& Network::CoreIndex::insert(std::size_t ci, std::unique_ptr<Component> rec) {
+  assert(ci != 0 && !find(ci));
+  if (2 * (size_ + 1) > slots_.size()) {
+    std::vector<Slot> old(2 * slots_.size());
+    old.swap(slots_);
+    mask_ = slots_.size() - 1;
+    --shift_;
+    for (Slot& s : old) {
+      if (s.rec) place(std::move(s));
+    }
+  }
+  Component& c = *rec;
+  place(Slot{ci, std::move(rec)});
+  ++size_;
+  return c;
+}
+
+void Network::CoreIndex::clear() {
+  for (Slot& s : slots_) s = Slot{};
+  size_ = 0;
+}
+
+void Network::CoreIndex::append_sorted(
+    std::vector<std::pair<std::size_t, const Component*>>& out) const {
+  const auto first = static_cast<std::ptrdiff_t>(out.size());
+  for (const Slot& s : slots_) {
+    if (s.rec) out.emplace_back(s.id, s.rec.get());
+  }
+  std::sort(out.begin() + first, out.end());
+}
+
 double Network::core_stretch(NodeId src, NodeId dst) const {
   const std::size_t slot = topo_.core_index(src, dst) - kSiteCompCount * topo_.size();
   const double stretch = config_.core_stretch_median *
@@ -57,7 +117,7 @@ double Network::core_stretch(NodeId src, NodeId dst) const {
   return std::max(stretch, config_.core_stretch_min);
 }
 
-void Network::build(std::size_t ci) {
+Network::Component& Network::build(std::size_t ci) {
   const ComponentId id = topo_.component(ci);
   const bool is_core = id.kind == ComponentId::Kind::kCore;
   ComponentParams params = config_.params_for(topo_, ci);
@@ -111,7 +171,7 @@ void Network::build(std::size_t ci) {
 
   std::sort(boosts.begin(), boosts.end(),
             [](const StateInterval& a, const StateInterval& b) { return a.start < b.start; });
-  components_[ci] = std::make_unique<Component>(Component{
+  auto rec = std::make_unique<Component>(Component{
       .fixed_delay = params.fixed_delay,
       .stretched_prop = is_core ? Duration::from_seconds_f(
                                       topo_.propagation(id.a, id.b).to_seconds_f() *
@@ -124,6 +184,19 @@ void Network::build(std::size_t ci) {
                                component_root_.fork(ci)),
   });
   ++built_;
+  if (!is_core) return *(sites_[ci] = std::move(rec));
+  return cores_.insert(ci, std::move(rec));
+}
+
+std::vector<std::pair<std::size_t, const Network::Component*>> Network::built_components()
+    const {
+  std::vector<std::pair<std::size_t, const Component*>> out;
+  out.reserve(built_);
+  for (std::size_t ci = 0; ci < sites_.size(); ++ci) {
+    if (sites_[ci]) out.emplace_back(ci, sites_[ci].get());
+  }
+  cores_.append_sorted(out);
+  return out;
 }
 
 Duration Network::hop_delay(const Component& c, const ComponentSample& s, TimePoint t) {
@@ -225,10 +298,9 @@ void Network::save_state(snap::Encoder& e) const {
   // deterministic function of the traffic, so an uninterrupted run and a
   // restored run converge on the same list at the same point.
   e.u64(built_);
-  for (std::size_t ci = 0; ci < components_.size(); ++ci) {
-    if (!components_[ci]) continue;
+  for (const auto& [ci, c] : built_components()) {
     e.u64(ci);
-    components_[ci]->proc.save_state(e);
+    c->proc.save_state(e);
   }
   snap::save_rng(e, pkt_rng_);
   e.i64(stats_.transmitted);
@@ -244,16 +316,17 @@ void Network::restore_state(snap::Decoder& d) {
   d.expect_tag("NETW");
   // Each listed component is built fresh from its keyed forks, then
   // overwritten with the saved timeline state; the rest stay unbuilt.
-  for (std::unique_ptr<Component>& c : components_) c.reset();
+  for (std::unique_ptr<Component>& c : sites_) c.reset();
+  cores_.clear();
   built_ = 0;
   const std::uint64_t n_built = d.count(9);
+  const std::size_t n_ids = component_count();
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < n_built; ++i) {
     const std::uint64_t ci = d.u64();
-    if (ci >= components_.size() || (i > 0 && ci <= prev)) {
+    if (ci >= n_ids || (i > 0 && ci <= prev)) {
       throw snap::SnapshotError("snapshot: built-component list corrupt or unsorted (index " +
-                                std::to_string(ci) + " of " +
-                                std::to_string(components_.size()) + ")");
+                                std::to_string(ci) + " of " + std::to_string(n_ids) + ")");
     }
     prev = ci;
     component_at(ci).proc.restore_state(d);
@@ -269,14 +342,12 @@ void Network::restore_state(snap::Decoder& d) {
 }
 
 void Network::check_invariants(std::vector<std::string>& out) const {
-  std::size_t built = 0;
-  for (std::size_t ci = 0; ci < components_.size(); ++ci) {
-    if (!components_[ci]) continue;
-    ++built;
-    components_[ci]->proc.check_invariants("component " + std::to_string(ci), out);
+  const auto built = built_components();
+  for (const auto& [ci, c] : built) {
+    c->proc.check_invariants("component " + std::to_string(ci), out);
   }
-  if (built != built_) {
-    out.push_back("network: " + std::to_string(built) + " components built but " +
+  if (built.size() != built_) {
+    out.push_back("network: " + std::to_string(built.size()) + " components built but " +
                   std::to_string(built_) + " counted");
   }
   const std::int64_t charged = stats_.delivered + stats_.dropped_random + stats_.dropped_burst +

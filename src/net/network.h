@@ -13,8 +13,10 @@
 // Components, site and core alike, are built on their first traversal
 // from construction forks keyed by component index, so the result never
 // depends on build order. A capped overlay touches a small fraction of
-// the n*(n-1) core grid and pays only for that fraction; the table of
-// not-yet-built components costs one pointer per component id.
+// the n*(n-1) core grid and pays only for that fraction: the 4n site
+// records sit in a dense per-site array, and the built core segments in
+// a flat open-addressing index keyed by component id, so no table grows
+// with the n^2 id space.
 
 #ifndef RONPATH_NET_NETWORK_H_
 #define RONPATH_NET_NETWORK_H_
@@ -23,6 +25,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "net/config.h"
@@ -125,7 +128,7 @@ class Network {
   [[nodiscard]] ComponentProcess& component(std::size_t index) {
     return component_at(index).proc;
   }
-  [[nodiscard]] std::size_t component_count() const { return components_.size(); }
+  [[nodiscard]] std::size_t component_count() const { return topo_.component_count(); }
   // Components built so far: those some packet (or the test hook) has
   // traversed, a small fraction of the n*(n-1) core grid on a capped
   // overlay.
@@ -168,16 +171,58 @@ class Network {
     ComponentProcess proc;
   };
 
+  // The built core segments, keyed by component id: a flat
+  // open-addressing table with power-of-two capacity and linear probing,
+  // grown at half load. A lookup is one multiply, one shift and usually
+  // one probe; slots own their records, so an entry allocates nothing
+  // beyond its record.
+  class CoreIndex {
+   public:
+    explicit CoreIndex(std::size_t capacity);
+
+    [[nodiscard]] Component* find(std::size_t ci) const {
+      for (std::size_t i = home(ci);; i = (i + 1) & mask_) {
+        const Slot& s = slots_[i];
+        if (s.id == ci) return s.rec.get();
+        if (!s.rec) return nullptr;
+      }
+    }
+    // Adds `ci`, which must not be present yet.
+    Component& insert(std::size_t ci, std::unique_ptr<Component> rec);
+    // Drops every record and keeps the capacity.
+    void clear();
+    // Appends the present (id, record) pairs in ascending id order.
+    void append_sorted(std::vector<std::pair<std::size_t, const Component*>>& out) const;
+
+   private:
+    // An empty slot holds id 0, which is a site id and never a core's.
+    struct Slot {
+      std::size_t id = 0;
+      std::unique_ptr<Component> rec;
+    };
+    [[nodiscard]] std::size_t home(std::size_t ci) const {
+      return static_cast<std::size_t>((ci * 0x9E3779B97F4A7C15ull) >> shift_);
+    }
+    void place(Slot slot);
+
+    std::vector<Slot> slots_;
+    std::size_t mask_ = 0;
+    int shift_ = 64;
+    std::size_t size_ = 0;
+  };
+
   // Returns component `ci`, building it on first use.
   [[nodiscard]] Component& component_at(std::size_t ci) {
-    std::unique_ptr<Component>& slot = components_[ci];
-    if (!slot) [[unlikely]] build(ci);
-    return *slot;
+    Component* c = ci < sites_.size() ? sites_[ci].get() : cores_.find(ci);
+    if (!c) [[unlikely]] c = &build(ci);
+    return *c;
   }
-  // Builds component `ci` from its keyed construction forks. Every draw
-  // is keyed by component index, so the result does not depend on which
-  // components were built before it or when.
-  void build(std::size_t ci);
+  // Builds component `ci` from its keyed construction forks and files it.
+  // Every draw is keyed by component index, so the result does not
+  // depend on which components were built before it or when.
+  Component& build(std::size_t ci);
+  // The built components as (index, record) in ascending index order.
+  [[nodiscard]] std::vector<std::pair<std::size_t, const Component*>> built_components() const;
 
   [[nodiscard]] Duration hop_delay(const Component& c, const ComponentSample& s, TimePoint t);
 
@@ -190,9 +235,11 @@ class Network {
   Rng hit_root_;        // fork("event-hits")
   Rng component_root_;  // fork("component")
   std::vector<std::vector<SiteEvent>> site_events_;
-  // Indexed by component id; null until first traversal.
-  std::vector<std::unique_ptr<Component>> components_;
-  std::size_t built_ = 0;  // non-null entries of components_
+  // Site components by id (the first kSiteCompCount * n ids) and built
+  // core segments; a site record is null until first traversal.
+  std::vector<std::unique_ptr<Component>> sites_;
+  CoreIndex cores_;
+  std::size_t built_ = 0;  // site and core records built
   Rng pkt_rng_;
   Stats stats_;
   const FaultHook* fault_ = nullptr;

@@ -34,7 +34,7 @@
 
 namespace ronpath::snap {
 
-inline constexpr std::uint32_t kSnapshotVersion = 7;
+inline constexpr std::uint32_t kSnapshotVersion = 8;
 inline constexpr std::size_t kSnapshotHeaderBytes = 28;
 inline constexpr std::size_t kSnapshotMinBytes = kSnapshotHeaderBytes + 8;
 

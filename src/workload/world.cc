@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "snapshot/codec.h"
@@ -26,6 +28,59 @@ const WorkloadConfig& validated(const WorkloadConfig& cfg) {
   const std::string err = cfg.spec.validate();
   if (!err.empty()) throw std::invalid_argument("workload spec: " + err);
   return cfg;
+}
+
+// Each flow's slot among the ordered pairs the flows use and among the
+// (pair, class) keys they use, and how many of each there are. The
+// flows are bucketed by source (a counting sort); each source numbers
+// its destinations and (destination, class) keys in flow order through
+// scratch arrays of n and 4n entries that it clears behind itself, so
+// the work is O(flows + n) and nothing is sized by the n^2 pairs.
+struct FlowSlots {
+  std::vector<std::uint32_t> pair;
+  std::vector<std::uint32_t> key;
+  std::uint32_t pairs = 0;
+  std::uint32_t keys = 0;
+};
+
+FlowSlots number_flows(const std::vector<Flow>& flows, std::size_t nodes) {
+  std::vector<std::uint32_t> first(nodes + 1, 0);
+  for (const Flow& f : flows) ++first[f.src + 1u];
+  for (std::size_t s = 0; s < nodes; ++s) first[s + 1] += first[s];
+  std::vector<std::uint32_t> by_src(flows.size());
+  std::vector<std::uint32_t> next(first.begin(), first.end() - 1);
+  for (std::uint32_t fi = 0; fi < flows.size(); ++fi) by_src[next[flows[fi].src]++] = fi;
+
+  constexpr std::uint32_t kUnset = ~std::uint32_t{0};
+  std::vector<std::uint32_t> pair_of(nodes, kUnset);
+  std::vector<std::uint32_t> key_of(nodes * kServiceClassCount, kUnset);
+  const auto key_index = [](const Flow& f) {
+    return f.dst * kServiceClassCount + static_cast<std::size_t>(f.cls);
+  };
+  FlowSlots out{std::vector<std::uint32_t>(flows.size()),
+                std::vector<std::uint32_t>(flows.size())};
+  for (std::size_t s = 0; s < nodes; ++s) {
+    const std::span<const std::uint32_t> bucket(by_src.data() + first[s], first[s + 1] - first[s]);
+    for (const std::uint32_t fi : bucket) {
+      std::uint32_t& pair = pair_of[flows[fi].dst];
+      std::uint32_t& key = key_of[key_index(flows[fi])];
+      if (pair == kUnset) pair = out.pairs++;
+      if (key == kUnset) key = out.keys++;
+      out.pair[fi] = pair;
+      out.key[fi] = key;
+    }
+    for (const std::uint32_t fi : bucket) {
+      pair_of[flows[fi].dst] = kUnset;
+      key_of[key_index(flows[fi])] = kUnset;
+    }
+  }
+  return out;
+}
+
+// How a loss estimate is impossible (an EWMA of 0/1 outcomes starting
+// at 0 stays in [0, 1]), or nullptr.
+const char* estimate_error(double est) {
+  return est >= 0.0 && est <= 1.0 ? nullptr : "loss estimate is NaN or outside [0, 1]";
 }
 
 }  // namespace
@@ -70,10 +125,17 @@ WorkloadWorld::WorkloadWorld(const Scenario& scenario, WorkloadPolicy policy,
     return a.index < b.index;
   });
 
+  // One EWMA per ordered pair and one controller per (pair, class) that
+  // some flow uses.
+  const FlowSlots slots = number_flows(flows, nodes_);
+  loss_est_.assign(slots.pairs, 0.0);
+  ctrl_.assign(slots.keys, AdaptiveController{});
   progress_.resize(flows.size());
+  for (std::size_t fi = 0; fi < flows.size(); ++fi) {
+    progress_[fi].est_slot = slots.pair[fi];
+    progress_[fi].ctrl_slot = slots.key[fi];
+  }
   buckets_.assign(nodes_, AccessBucket{0.0, measure_start()});
-  loss_est_.assign(nodes_ * nodes_, 0.0);
-  ctrl_.assign(nodes_ * nodes_ * kServiceClassCount, AdaptiveController{});
 }
 
 Duration WorkloadWorld::charge_access(NodeId src, double bytes, TimePoint t) {
@@ -107,12 +169,9 @@ void WorkloadWorld::flush_block(std::uint32_t flow_idx, TimePoint t) {
   FlowProgress& fp = progress_[flow_idx];
   if (fp.block.empty()) return;
   const Flow& flow = traffic_.flows()[flow_idx];
-  const std::size_t cls = static_cast<std::size_t>(flow.cls);
-  const ClassSpec& cs = spec_.classes[cls];
-  const std::size_t pair = pair_index(flow.src, flow.dst);
+  const ClassSpec& cs = spec_.classes[static_cast<std::size_t>(flow.cls)];
   const std::size_t k_eff = fp.block.size();
-  const std::size_t m =
-      ctrl_[pair * kServiceClassCount + cls].parity(adaptive_, loss_est_[pair]);
+  const std::size_t m = ctrl_[fp.ctrl_slot].parity(adaptive_, loss_est_[fp.est_slot]);
 
   // Parity shards ride the duplicate's disjoint detour relative to the
   // current primary path (shared disjointness logic with HybridSender).
@@ -171,9 +230,8 @@ void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
   const PacketEvent& ev = schedule_[i];
   const Flow& flow = traffic_.flows()[ev.flow];
   FlowProgress& fp = progress_[ev.flow];
-  const std::size_t cls = static_cast<std::size_t>(flow.cls);
-  const ClassSpec& cs = spec_.classes[cls];
-  const std::size_t pair = pair_index(flow.src, flow.dst);
+  const ClassSpec& cs = spec_.classes[static_cast<std::size_t>(flow.cls)];
+  double& loss_est = loss_est_[fp.est_slot];
 
   RedundancyLevel level = RedundancyLevel::kSingle;
   switch (policy_) {
@@ -184,8 +242,8 @@ void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
       level = RedundancyLevel::kDup;
       break;
     case WorkloadPolicy::kAdaptive: {
-      AdaptiveController& ctrl = ctrl_[pair * kServiceClassCount + cls];
-      ctrl.update(adaptive_, loss_est_[pair], cs.slo_loss_pct / 100.0,
+      AdaptiveController& ctrl = ctrl_[fp.ctrl_slot];
+      ctrl.update(adaptive_, loss_est, cs.slo_loss_pct / 100.0,
                   cs.capacity_fraction(spec_.access_bytes_per_s), ev.t);
       level = ctrl.level();
       break;
@@ -234,9 +292,8 @@ void WorkloadWorld::step(std::size_t i, TimePoint /*t*/) {
     }
   }
   ++app_packets_;
-  loss_est_[pair] =
-      (1.0 - adaptive_.loss_alpha) * loss_est_[pair] +
-      adaptive_.loss_alpha * (primary_lost ? 1.0 : 0.0);
+  loss_est = (1.0 - adaptive_.loss_alpha) * loss_est +
+             adaptive_.loss_alpha * (primary_lost ? 1.0 : 0.0);
   if (ev.index == flow.packets - 1) finish_flow(ev.flow, ev.t);
 }
 
@@ -330,6 +387,9 @@ void WorkloadWorld::restore_body(snap::Decoder& d) {
   if (d.count(1) != progress_.size()) {
     throw snap::SnapshotError("workload snapshot: flow count mismatch");
   }
+  const auto reject = [](const char* err) {
+    if (err) throw snap::SnapshotError(std::string("workload snapshot: ") + err);
+  };
   for (FlowProgress& fp : progress_) {
     fp.burst_run = d.u64();
     fp.burst_flushed = d.b();
@@ -340,6 +400,7 @@ void WorkloadWorld::restore_body(snap::Decoder& d) {
       s.arrival = d.time();
       s.delivered = d.b();
     }
+    reject(flow_error(fp));
   }
   if (d.count(16) != buckets_.size()) {
     throw snap::SnapshotError("workload snapshot: bucket count mismatch");
@@ -347,11 +408,15 @@ void WorkloadWorld::restore_body(snap::Decoder& d) {
   for (AccessBucket& b : buckets_) {
     b.backlog_bytes = d.f64();
     b.last = d.time();
+    reject(bucket_error(b));
   }
   if (d.count(8) != loss_est_.size()) {
     throw snap::SnapshotError("workload snapshot: estimator count mismatch");
   }
-  for (double& v : loss_est_) v = d.f64();
+  for (double& v : loss_est_) {
+    v = d.f64();
+    reject(estimate_error(v));
+  }
   if (d.count(17) != ctrl_.size()) {
     throw snap::SnapshotError("workload snapshot: controller count mismatch");
   }
@@ -401,7 +466,30 @@ std::string WorkloadWorld::report() const {
   return out;
 }
 
+const char* WorkloadWorld::flow_error(const FlowProgress& fp) const {
+  if (fp.block.empty()) return nullptr;
+  if (fp.block.size() >= adaptive_.fec_k) return "open FEC block holds fec_k or more shards";
+  if (fp.burst_flushed) return "open FEC block on a flow already flushed";
+  return nullptr;
+}
+
+const char* WorkloadWorld::bucket_error(const AccessBucket& b) const {
+  if (!(b.backlog_bytes >= 0.0 && std::isfinite(b.backlog_bytes))) {
+    return "access backlog is negative or not finite";
+  }
+  if (b.last < measure_start()) return "access bucket clock before the measured window";
+  return nullptr;
+}
+
 void WorkloadWorld::check_body(std::vector<std::string>& out) const {
+  const auto note = [&out](const char* what, std::size_t i, const char* err) {
+    if (err) out.push_back("workload: " + std::string(what) + " " + std::to_string(i) + ": " + err);
+  };
+  for (std::size_t i = 0; i < progress_.size(); ++i) note("flow", i, flow_error(progress_[i]));
+  for (std::size_t i = 0; i < buckets_.size(); ++i) note("bucket", i, bucket_error(buckets_[i]));
+  for (std::size_t i = 0; i < loss_est_.size(); ++i) {
+    note("estimate", i, estimate_error(loss_est_[i]));
+  }
   for (const AdaptiveController& c : ctrl_) c.check_invariants(out);
   for (const ClassMetrics& m : metrics_) m.check_invariants(out);
   std::uint64_t scored = 0;

@@ -30,6 +30,12 @@
 // lost data packet is recovered iff delivered shards >= block size, at
 // the latency of the last delivered shard in the block.
 //
+// State keyed by the flows that exist: one loss EWMA per ordered pair
+// that carries a flow (shared by its classes) and one controller per
+// (pair, class) that carries a flow, in compact arrays numbered at
+// construction. Each flow holds its two slots, so nothing grows with
+// the n^2 pairs of a topology most of whose pairs stay idle.
+//
 // Lifecycle: a WorkloadWorld is a core/cell_env.h CellRun whose steps
 // are the scheduled packets, so it shares SimWorld's warmup, cursor,
 // drain, checkpoint header and tail, and layer audit. This class adds
@@ -116,6 +122,10 @@ class WorkloadWorld : public CellRun {
   struct FlowProgress {
     std::uint64_t burst_run = 0;       // current run of consecutive losses
     std::vector<PendingShard> block;   // open FEC block (kFec only)
+    // The flow's slots in loss_est_ (its ordered pair) and ctrl_ (its
+    // pair and class); fixed at construction, never snapshotted.
+    std::uint32_t est_slot = 0;
+    std::uint32_t ctrl_slot = 0;
     bool burst_flushed = false;        // end-of-flow flush happened
   };
   struct AccessBucket {
@@ -129,10 +139,10 @@ class WorkloadWorld : public CellRun {
   void save_body(snap::Encoder& e) const override;
   void restore_body(snap::Decoder& d) override;
   void check_body(std::vector<std::string>& out) const override;
+  // How one piece of restored or live state is impossible, or nullptr.
+  [[nodiscard]] const char* flow_error(const FlowProgress& fp) const;
+  [[nodiscard]] const char* bucket_error(const AccessBucket& b) const;
 
-  [[nodiscard]] std::size_t pair_index(NodeId src, NodeId dst) const {
-    return static_cast<std::size_t>(src) * nodes_ + dst;
-  }
   // Charges `bytes` to src's access bucket at `t` and returns the
   // queueing delay this copy waits behind.
   Duration charge_access(NodeId src, double bytes, TimePoint t);
@@ -156,8 +166,8 @@ class WorkloadWorld : public CellRun {
   // Mutable progress state (all snapshotted).
   std::vector<FlowProgress> progress_;
   std::vector<AccessBucket> buckets_;        // per source site
-  std::vector<double> loss_est_;             // per ordered pair EWMA
-  std::vector<AdaptiveController> ctrl_;     // per pair x class
+  std::vector<double> loss_est_;             // per ordered pair with a flow
+  std::vector<AdaptiveController> ctrl_;     // per (pair, class) with a flow
   PerClassMetrics metrics_;
   std::int64_t app_packets_ = 0;
   std::int64_t copies_ = 0;

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/testbed.h"
+#include "net/scale_topology.h"
+#include "snapshot/codec.h"
 #include "util/rng.h"
 
 namespace ronpath {
@@ -158,6 +163,49 @@ TEST(Network, BuildOrderDoesNotChangeDraws) {
   EXPECT_EQ(on_demand.materialized_components(), reached.size());
   EXPECT_LT(on_demand.materialized_components(), on_demand.component_count());
   EXPECT_EQ(prebuilt.materialized_components(), prebuilt.component_count());
+}
+
+// Core segments live in a sparse index that starts small and doubles as
+// segments are built. Whatever order the components are built in, and
+// however often the index grew on the way, the saved list is the same
+// ascending (index, state) list, restores into a fresh network and
+// saves back to the same bytes.
+TEST(Network, SparseCoreIndexSavesInIndexOrder) {
+  const auto make = [] {
+    return Network(scale_topology({.nodes = 200, .seed = 3}), NetConfig::profile_2003(),
+                   Duration::hours(1), Rng(17));
+  };
+  Network shuffled = make();
+  Network ascending = make();
+  std::set<std::size_t> ids;
+  Rng rng(29);
+  while (ids.size() < 3'000) ids.insert(rng.next_below(shuffled.component_count()));
+  std::vector<std::size_t> order(ids.begin(), ids.end());
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_below(i)]);
+  }
+  for (const std::size_t ci : order) (void)shuffled.component(ci);
+  for (const std::size_t ci : order) (void)shuffled.component(ci);  // found, not rebuilt
+  for (const std::size_t ci : ids) (void)ascending.component(ci);
+  ASSERT_EQ(shuffled.materialized_components(), ids.size());
+
+  const auto save = [](const Network& net) {
+    snap::Encoder e;
+    net.save_state(e);
+    return e.take();
+  };
+  const std::vector<std::uint8_t> bytes = save(shuffled);
+  EXPECT_EQ(bytes, save(ascending));
+
+  Network restored = make();
+  snap::Decoder d(bytes);
+  restored.restore_state(d);
+  EXPECT_TRUE(d.done());
+  EXPECT_EQ(restored.materialized_components(), ids.size());
+  EXPECT_EQ(save(restored), bytes);
+  std::vector<std::string> violations;
+  restored.check_invariants(violations);
+  EXPECT_TRUE(violations.empty()) << violations.front();
 }
 
 // Back-to-back packets share burst fate: conditional loss far above the
