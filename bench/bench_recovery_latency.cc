@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
       const auto& st = arq.stats();
       row.delivery_pct = 100.0 * st.delivery_rate();
       row.mean_ms = st.delivery_latency_ms.mean();
-      row.p99_ms = st.delivery_p99_ms.value();
+      row.p99_ms = st.delivery_cdf_ms.empty() ? 0.0 : st.delivery_cdf_ms.quantile(0.99);
       row.max_ms = st.delivery_latency_ms.max();
       row.overhead = st.mean_transmissions();
     }

@@ -21,11 +21,10 @@
 //                process VmHWM peak RSS read from /proc/self/status
 //                (cumulative across tiers; 0 off Linux).
 //
-// The 30-node tier doubles as the correctness anchor: the same cell is
-// re-run with the legacy full-mesh overlay (fanout 0) and with
-// fanout = n-1; their reports must be byte-identical (the capped
-// machinery — metering, budget enforcement, stride stamping — is
-// provably inert at full fanout). Any skew exits 2.
+// Fanout 0 and fanout >= n-1 both give the full mesh on one overlay code
+// path; ctest's CappedOverlay.FullFanoutBitwiseEquivalentToLegacyMesh
+// checks that their reports are byte-identical, so no tier here
+// re-runs a full mesh.
 //
 // Every run is a fixed-seed pure function, so per-tier report checksums
 // must agree across --reps; only wall clock may vary (best rep wins).
@@ -40,8 +39,7 @@
 // Usage:
 //   bench_scale [--nodes N[,N...]] [--fanout K] [--landmarks L]
 //               [--seed S] [--reps N] [--label NAME] [--quick]
-//               [--no-anchor] [--out PATH] [--compare BENCH_scale.json]
-//               [--max-regress F]
+//               [--out PATH] [--compare BENCH_scale.json] [--max-regress F]
 
 #include <algorithm>
 #include <cerrno>
@@ -179,38 +177,15 @@ TierResult run_tier(const Scenario& scenario, const FaultMatrixConfig& cfg) {
   return r;
 }
 
-// The 30-node anchor: legacy full mesh vs fanout = n-1 must produce
-// byte-identical reports (same probes, same routes, same cell).
-bool anchor_holds(const Scenario& scenario, std::size_t nodes, std::size_t landmarks,
-                  std::uint64_t seed, bool quick) {
-  FaultMatrixConfig legacy = tier_config(nodes, 0, landmarks, seed, quick);
-  legacy.overlay_fanout = 0;
-  FaultMatrixConfig capped = tier_config(nodes, nodes - 1, landmarks, seed, quick);
-
-  SimWorld a(scenario, FaultScheme::kHybrid, legacy, seed);
-  a.run_to_end();
-  SimWorld b(scenario, FaultScheme::kHybrid, capped, seed);
-  b.run_to_end();
-  const std::string ra = a.report();
-  const std::string rb = b.report();
-  if (ra == rb) return true;
-  std::fprintf(stderr,
-               "ANCHOR FAILED at %zu nodes: fanout %zu diverged from the legacy full mesh\n"
-               "--- legacy ---\n%s--- capped ---\n%s",
-               nodes, nodes - 1, ra.c_str(), rb.c_str());
-  return false;
-}
-
 void emit_json(std::FILE* f, const std::vector<TierResult>& tiers, const std::string& label,
-               std::size_t fanout, std::size_t landmarks, bool anchored) {
+               std::size_t fanout, std::size_t landmarks) {
   std::fprintf(f,
                "{\n"
                "  \"schema\": \"ronpath-bench-scale-v1\",\n"
                "  \"label\": \"%s\",\n"
                "  \"fanout\": %zu,\n"
-               "  \"landmarks\": %zu,\n"
-               "  \"anchor\": \"%s\"",
-               label.c_str(), fanout, landmarks, anchored ? "ok" : "skipped");
+               "  \"landmarks\": %zu",
+               label.c_str(), fanout, landmarks);
   for (const TierResult& t : tiers) {
     const auto n = t.nodes;
     std::fprintf(f,
@@ -283,7 +258,6 @@ int run(int argc, char** argv) {
   std::uint64_t seed = kDefaultSeed;
   int reps = 1;
   bool quick = false;
-  bool anchor = true;
   std::string label = "run";
   std::string out_path;
   const char* compare_path = nullptr;
@@ -311,8 +285,6 @@ int run(int argc, char** argv) {
       reps = static_cast<int>(BenchArgs::parse_int("--reps", next(), 1, 100));
     } else if (arg == "--quick") {
       quick = true;
-    } else if (arg == "--no-anchor") {
-      anchor = false;
     } else if (arg == "--label") {
       label = next();
     } else if (arg == "--out") {
@@ -324,8 +296,8 @@ int run(int argc, char** argv) {
                                             std::numeric_limits<double>::min(), 1e6);
     } else if (arg == "--help") {
       std::printf("usage: %s [--nodes N[,N...]] [--fanout K] [--landmarks L] [--seed S] "
-                  "[--reps N] [--label NAME] [--quick] [--no-anchor] [--out PATH] "
-                  "[--compare FILE] [--max-regress F]\n",
+                  "[--reps N] [--label NAME] [--quick] [--out PATH] [--compare FILE] "
+                  "[--max-regress F]\n",
                   argv[0]);
       return 0;
     } else {
@@ -341,17 +313,6 @@ int run(int argc, char** argv) {
   if (scenario == nullptr) {
     std::fprintf(stderr, "canonical scenario \"link-flap\" is missing\n");
     return 2;
-  }
-
-  // Correctness before speed: at fanout >= n-1 the capped overlay must
-  // reproduce the legacy full mesh bit for bit on the smallest tier.
-  bool anchored = false;
-  if (anchor) {
-    const std::size_t n = tiers.front();
-    if (!anchor_holds(*scenario, n, landmarks, seed, quick)) return 2;
-    anchored = true;
-    std::printf("anchor: fanout %zu == legacy full mesh at %zu nodes (reports identical)\n",
-                n - 1, n);
   }
 
   std::vector<TierResult> results;
@@ -405,10 +366,10 @@ int run(int argc, char** argv) {
                    std::strerror(errno));
       return 2;
     }
-    emit_json(f, results, label, fanout, landmarks, anchored);
+    emit_json(f, results, label, fanout, landmarks);
     std::fclose(f);
   } else {
-    emit_json(stdout, results, label, fanout, landmarks, anchored);
+    emit_json(stdout, results, label, fanout, landmarks);
   }
 
   if (compare_path) {

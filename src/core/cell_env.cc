@@ -135,7 +135,7 @@ CellEnv::CellEnv(const Scenario& scenario, HybridMode mode, const FaultMatrixCon
   ocfg.host_failures_per_month = 0.0;
   ocfg.fanout = cfg.overlay_fanout;
   ocfg.landmarks = cfg.overlay_landmarks;
-  if (cfg.graceful_degradation) enable_graceful_degradation(ocfg);
+  enable_graceful_degradation(ocfg);
   overlay.emplace(*net, sched, ocfg, rng.fork("overlay"));
   overlay->set_fault_injector(&*injector);
   overlay->start();
@@ -168,7 +168,6 @@ std::uint64_t CellRun::cell_fingerprint() const {
   h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.measured.count_nanos()), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.send_interval.count_nanos()), h);
   h = fnv1a_u64(static_cast<std::uint64_t>(cfg_.stable_streak), h);
-  h = fnv1a_u64(cfg_.graceful_degradation ? 1 : 0, h);
   h = fnv1a_u64(cfg_.synth_nodes, h);
   h = fnv1a_u64(cfg_.overlay_fanout, h);
   h = fnv1a_u64(cfg_.overlay_landmarks, h);

@@ -6,7 +6,7 @@
 #include "core/cell_env.h"
 #include "core/trials.h"
 #include "util/table.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace ronpath {
 namespace {
@@ -50,7 +50,7 @@ FaultMatrixResult run_fault_matrix(const FaultMatrixConfig& cfg,
   }
 
   const std::size_t total = n_cells * static_cast<std::size_t>(n_trials);
-  ThreadPool::for_each_index(total, static_cast<std::size_t>(n_jobs), [&](std::size_t task) {
+  for_each_index(total, static_cast<std::size_t>(n_jobs), [&](std::size_t task) {
     const std::size_t c = task / static_cast<std::size_t>(n_trials);
     const int trial = static_cast<int>(task % static_cast<std::size_t>(n_trials));
     const Scenario& scenario = scenarios[c / kSchemes.size()];
@@ -88,8 +88,8 @@ std::string format_fault_matrix(const FaultMatrixResult& result,
   os << "== Fault matrix: scheme x scenario ==\n";
   os << "nodes " << cfg.node_count << " | seed " << cfg.seed << " | warmup "
      << cfg.warmup.to_string() << " | measured " << cfg.measured.to_string() << " | send every "
-     << cfg.send_interval.to_string() << " | degradation "
-     << (cfg.graceful_degradation ? "on" : "off") << " | trials " << result.n_trials << "\n";
+     << cfg.send_interval.to_string() << " | degradation on | trials " << result.n_trials
+     << "\n";
   // Duplicate windows in a schedule are legal but have no effect; warn so
   // the author notices. Scenario-major stride over the scheme-expanded
   // cell list, since every scheme compiles the same schedule.

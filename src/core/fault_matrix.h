@@ -56,9 +56,6 @@ struct FaultMatrixConfig {
   Duration send_interval = Duration::millis(100);
   // Consecutive deliveries that count as "stable" for failover/recovery.
   int stable_streak = 5;
-  // Enables the router's staleness + hold-down knobs (see DESIGN.md,
-  // "Fault model"). Off reproduces the trust-forever control plane.
-  bool graceful_degradation = true;
 
   // --- scaling (DESIGN.md §14) ---
   // > 0: run the cell on a synthetic hierarchical topology of this many

@@ -7,7 +7,7 @@
 #include <utility>
 
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace ronpath {
 namespace {
@@ -41,7 +41,7 @@ TrialsResult run_experiment_trials(const ExperimentConfig& cfg, int n_trials, in
   std::vector<std::optional<TrialResult>> slots(static_cast<std::size_t>(n_trials));
 
   const auto start = std::chrono::steady_clock::now();
-  ThreadPool::for_each_index(
+  for_each_index(
       static_cast<std::size_t>(n_trials), static_cast<std::size_t>(n_jobs > 0 ? n_jobs : 1),
       [&](std::size_t i) {
         ExperimentConfig trial_cfg = cfg;

@@ -1,5 +1,6 @@
 // Multi-trial experiment runner: N independent realizations of one
-// ExperimentConfig, sharded across a work-stealing thread pool.
+// ExperimentConfig, sharded across threads by for_each_index
+// (util/parallel.h).
 //
 // Seed splitting: trial 0 runs under the config's own seed (so a single
 // trial reproduces the historical single-run output bit for bit); trial

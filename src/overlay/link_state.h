@@ -49,7 +49,7 @@ struct LinkMetrics {
   TimePoint published;
   // Announcement-rotation stride of the publisher: this entry is
   // refreshed every `stride` probe intervals (1 = every round, the
-  // legacy cadence). Consumers scale staleness bounds by it so capped
+  // full mesh's cadence). Consumers scale staleness bounds by it so capped
   // announcements don't read as failures (see router.h entry_expired).
   std::uint32_t stride = 1;
 };

@@ -1,4 +1,4 @@
-// Candidate-neighbor structure for the bandwidth-capped overlay.
+// Candidate-neighbor structure: the overlay's probed/announced graph.
 //
 // Full-mesh probing and link-state are O(n^2): fine for the paper's
 // 30-node testbed, dead at 1000. NeighborSet caps the overlay graph:
@@ -20,12 +20,12 @@
 // to (d, s) in O(1), so a walk over row s reads both directions of
 // every incident link without searching.
 //
-// `full_mesh(n)` (also what `build` returns when fanout >= n-1)
-// materializes the complete graph with `full() == true`. The flag only
-// selects O(1) answers for `adjacent` and `edge_index` (row s of a full
-// mesh is every node but s, so d's rank is d - (d > s)); every reader
-// outside this class sees the same CSR rows for a full mesh as for a
-// capped graph.
+// `full_mesh(n)` (also what `build` returns at fanout 0, the uncapped
+// overlay, and at fanout >= n-1) materializes the complete graph with
+// `full() == true`. The flag only selects O(1) answers for `adjacent`
+// and `edge_index` (row s of a full mesh is every node but s, so d's
+// rank is d - (d > s)); every reader outside this class sees the same
+// CSR rows for a full mesh as for a capped graph.
 
 #ifndef RONPATH_OVERLAY_NEIGHBORS_H_
 #define RONPATH_OVERLAY_NEIGHBORS_H_
@@ -44,7 +44,7 @@ namespace ronpath {
 
 class NeighborSet {
  public:
-  // The complete graph on n nodes (legacy overlay shape).
+  // The complete graph on n nodes (the uncapped overlay's shape).
   [[nodiscard]] static NeighborSet full_mesh(std::size_t n);
 
   // k-nearest (k = fanout) by (propagation delay, id), symmetrized,

@@ -7,14 +7,6 @@
 #include "snapshot/codec.h"
 
 namespace ronpath {
-namespace {
-
-NeighborSet make_neighbors(const Topology& topo, const OverlayConfig& cfg) {
-  if (cfg.fanout == 0) return NeighborSet::full_mesh(topo.size());
-  return NeighborSet::build(topo, cfg.fanout, cfg.landmarks);
-}
-
-}  // namespace
 
 OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg, Rng rng)
     : net_(net),
@@ -22,8 +14,7 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
       cfg_(cfg),
       n_(net.topology().size()),
       rng_(rng.fork("overlay")),
-      table_(make_neighbors(net.topology(), cfg_)),
-      capped_(cfg_.fanout > 0) {
+      table_(NeighborSet::build(net.topology(), cfg_.fanout, cfg_.landmarks)) {
   routers_.reserve(n_);
   for (NodeId i = 0; i < n_; ++i) {
     routers_.push_back(std::make_unique<Router>(i, table_, cfg_.router));
@@ -38,11 +29,10 @@ OverlayNetwork::OverlayNetwork(Network& net, Scheduler& sched, OverlayConfig cfg
   budget_.resize(n_, 0);
   meters_.resize(n_);
   for (NodeId i = 0; i < n_; ++i) {
+    // Peers announced per round: the whole row when uncapped (fanout 0).
     const std::size_t degree = neighbors().degree(i);
-    if (capped_ && cfg_.fanout < degree) {
-      stride_[i] = static_cast<std::uint32_t>((degree + cfg_.fanout - 1) / cfg_.fanout);
-    }
-    const std::size_t window = capped_ ? std::min(cfg_.fanout, degree) : degree;
+    const std::size_t window = cfg_.fanout == 0 ? degree : std::min(cfg_.fanout, degree);
+    if (window < degree) stride_[i] = static_cast<std::uint32_t>((degree + window - 1) / window);
     budget_[i] = cfg_.control_budget_bytes > 0
                      ? cfg_.control_budget_bytes
                      : static_cast<std::int64_t>(cfg_.lsa_entry_bytes * window) *
@@ -120,9 +110,10 @@ void OverlayNetwork::start() {
     for (std::size_t rank = 0; rank < row.size(); ++rank) {
       const NodeId d = row[rank];
       // Stagger initial probes uniformly across the interval so the mesh
-      // does not probe in lockstep. The fork key is the legacy dense pair
-      // index, so a stride-1 schedule is the legacy schedule bit for bit;
-      // under rotation the rank's slot spreads the row across the stride.
+      // does not probe in lockstep. The fork key is the dense pair index
+      // src * n + dst, so a stride-1 schedule is the same at every fanout
+      // that keeps the full mesh; under rotation the rank's slot spreads
+      // the row across the stride.
       const Duration offset =
           rng_.fork("stagger").fork(link_index(s, d)).uniform_duration(Duration::zero(),
                                                                        cfg_.probe_interval) +
@@ -144,47 +135,36 @@ void OverlayNetwork::probe_tick(std::uint32_t edge, NodeId src, NodeId dst) {
       cfg_.probe_interval * static_cast<std::int64_t>(stride_[src]), tick_callback(edge, src, dst));
 }
 
+std::optional<Duration> OverlayNetwork::probe_exchange(NodeId src, NodeId dst, TimePoint now) {
+  const TransmitResult req =
+      net_.transmit(PathSpec{src, dst, kDirectVia}, now, TrafficClass::kProbe);
+  if (!req.delivered || !node_up(dst, now + req.latency)) return std::nullopt;
+  // Response leg, sent when the request arrives.
+  const TransmitResult resp =
+      net_.transmit(PathSpec{dst, src, kDirectVia}, now + req.latency, TrafficClass::kProbe);
+  if (!resp.delivered) return std::nullopt;
+  const Duration rtt = req.latency + resp.latency;
+  if (rtt > cfg_.probe_timeout) return std::nullopt;
+  return rtt;
+}
+
 void OverlayNetwork::probe_once(NodeId src, NodeId dst) {
   const TimePoint now = sched_.now();
   if (!node_up(src, now)) return;  // failed hosts stop probing
 
   ++probes_sent_;
+  const std::optional<Duration> rtt = probe_exchange(src, dst, now);
   LinkEstimator& est = links_[neighbors().edge_index(src, dst)];
-
-  // Request leg.
-  const PathSpec fwd{src, dst, kDirectVia};
-  const TransmitResult req = net_.transmit(fwd, now, TrafficClass::kProbe);
-  bool lost = true;
-  Duration rtt = Duration::zero();
-  if (req.delivered && node_up(dst, now + req.latency)) {
-    // Response leg, sent when the request arrives.
-    const PathSpec rev{dst, src, kDirectVia};
-    const TransmitResult resp = net_.transmit(rev, now + req.latency, TrafficClass::kProbe);
-    if (resp.delivered) {
-      rtt = req.latency + resp.latency;
-      lost = rtt > cfg_.probe_timeout;
-    }
-  }
-  est.record_probe(lost, rtt / 2, now);
+  est.record_probe(!rtt, rtt.value_or(Duration::zero()) / 2, now);
   publish(src, dst);
 
-  if (lost && cfg_.followups > 0) arm_followup(src, dst, cfg_.followups);
+  if (!rtt && cfg_.followups > 0) arm_followup(src, dst, cfg_.followups);
 }
 
 void OverlayNetwork::send_followup(NodeId src, NodeId dst, int remaining) {
   const TimePoint now = sched_.now();
-  LinkEstimator& est = links_[neighbors().edge_index(src, dst)];
-  bool lost = true;
-  if (node_up(src, now)) {
-    const TransmitResult req =
-        net_.transmit(PathSpec{src, dst, kDirectVia}, now, TrafficClass::kProbe);
-    if (req.delivered && node_up(dst, now + req.latency)) {
-      const TransmitResult resp = net_.transmit(PathSpec{dst, src, kDirectVia},
-                                                now + req.latency, TrafficClass::kProbe);
-      lost = !resp.delivered || (req.latency + resp.latency) > cfg_.probe_timeout;
-    }
-  }
-  est.record_followup(lost, now);
+  const bool lost = !node_up(src, now) || !probe_exchange(src, dst, now);
+  links_[neighbors().edge_index(src, dst)].record_followup(lost, now);
   publish(src, dst);
   if (lost && remaining > 1) arm_followup(src, dst, remaining - 1);
 }
@@ -212,9 +192,9 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   if (fault_ && fault_->lsa_suppressed(src, now)) return;
 
   // Control-plane accounting: one announcement per publish, metered per
-  // global probe round. Both modes meter; only capped mode enforces the
-  // budget (the rotation provably stays within it, so enforcement is a
-  // guard rail, not a steady-state behavior).
+  // global probe round and enforced against the node's budget (the
+  // rotation provably stays within the derived budget, so enforcement is
+  // a guard rail, not a steady-state behavior).
   ControlMeter& meter = meters_[src];
   const std::int64_t round = now.since_epoch() / cfg_.probe_interval;
   if (round != meter.round) {
@@ -222,7 +202,7 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
     meter.round_bytes = 0;
   }
   const auto bytes = static_cast<std::int64_t>(cfg_.lsa_entry_bytes);
-  if (capped_ && meter.round_bytes + bytes > budget_[src]) {
+  if (meter.round_bytes + bytes > budget_[src]) {
     ++meter.suppressed;
     return;
   }
@@ -241,12 +221,12 @@ void OverlayNetwork::publish(NodeId src, NodeId dst) {
   m.published = now;
   m.stride = stride_[src];
   table_.publish(src, dst, m);
-  // A capped announcement is bidirectional: when the peer's own rotation
-  // is slower than ours, refresh the mirror entry too so slow-rotating
+  // An announcement is bidirectional: when the peer's own rotation is
+  // slower than one round, refresh the mirror entry too so slow-rotating
   // rows (landmarks above all) stay fresh through their neighbors'
-  // announcements. Same LSA, so it is charged once above. Never fires at
-  // stride 1, preserving the full-fanout equivalence anchor.
-  if (capped_ && stride_[dst] > 1) table_.publish(dst, src, m);
+  // announcements. Same LSA, so it is charged once above. Never fires on
+  // a full mesh, where every stride is 1.
+  if (stride_[dst] > 1) table_.publish(dst, src, m);
 }
 
 PathSpec OverlayNetwork::route(NodeId src, NodeId dst, RouteTag tag) {
@@ -299,8 +279,8 @@ void OverlayNetwork::save_state(snap::Encoder& e) const {
   e.i64(probes_sent_);
   table_.save_state(e);
   for (const auto& router : routers_) router->save_state(e);
-  // Estimators in CSR edge order (for a full mesh this is the legacy
-  // s-major, d-minor order).
+  // Estimators in CSR edge order (for a full mesh this is s-major,
+  // d-minor order).
   for (const LinkEstimator& link : links_) link.save_state(e);
   for (const LazyIntervalProcess& proc : host_failures_) proc.save_state(e);
   for (const ControlMeter& m : meters_) {
@@ -468,14 +448,8 @@ void OverlayNetwork::check_invariants(TimePoint now, std::vector<std::string>& o
     if (m.round_bytes > m.max_round_bytes) {
       out.push_back(who + ": running round above its recorded high-water");
     }
-    if (capped_ && m.max_round_bytes > budget_[i]) {
+    if (m.max_round_bytes > budget_[i]) {
       out.push_back(who + ": round bytes exceeded the control budget");
-    }
-    if (!capped_ && m.suppressed != 0) {
-      out.push_back(who + ": budget suppression fired in legacy mode");
-    }
-    if (!capped_ && stride_[i] != 1) {
-      out.push_back("overlay: legacy mode with rotation stride != 1");
     }
     if (stride_[i] == 0) out.push_back("overlay: zero rotation stride");
   }

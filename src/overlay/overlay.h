@@ -16,22 +16,23 @@
 //    explicit per-node on/off process so the measurement pipeline can
 //    exercise the paper's 90-second host-failure filter.
 //
-// Bandwidth-capped mode (fanout > 0; DESIGN.md §14): the probed/announced
-// graph shrinks to a NeighborSet (k-nearest + landmarks) and each node
-// announces at most ~fanout peers per probe round by rotating through its
-// neighbor row: a row of degree d probes each peer every
-// stride = ceil(d / fanout) intervals, rotation slots spread across the
-// stride so per-round announcement volume stays ~fanout. Announcements
-// are metered per node per round against an explicit byte budget (a
-// publish that would exceed it is suppressed and counted — the budget is
-// provably never hit by the rotation itself). Published entries carry
-// their stride so staleness bounds scale with the slower cadence, and a
-// capped publisher also refreshes the mirror entry (peer -> self) when
-// the peer's own rotation is slower — that keeps landmark rows fresh via
-// their neighbors' announcements (one bidirectional LSA, charged once).
-// At fanout >= n-1 every stride is 1, no mirrors are written, and every
-// byte of behavior reduces to the legacy full mesh — the correctness
-// anchor pinned by the scale tests.
+// Bandwidth cap (DESIGN.md §14): the probed/announced graph is a
+// NeighborSet, the full mesh at fanout 0 or >= n-1 and otherwise the
+// k-nearest peers plus landmarks. Each node announces at most ~fanout
+// peers per probe round by rotating through its neighbor row: a row of
+// degree d probes each peer every stride = ceil(d / fanout) intervals
+// (stride 1 when uncapped or d <= fanout), rotation slots spread across
+// the stride so per-round announcement volume stays ~fanout.
+// Announcements are metered per node per round against an explicit byte
+// budget on every overlay (a publish that would exceed it is suppressed
+// and counted — the derived budget is provably never hit by the rotation
+// itself). Published entries carry their stride so staleness bounds
+// scale with the slower cadence, and a publisher also refreshes the
+// mirror entry (peer -> self) when the peer's stride is above 1 — that
+// keeps landmark rows fresh via their neighbors' announcements (one
+// bidirectional LSA, charged once). On a full mesh every stride is 1 and
+// no mirrors are written, so fanout 0 and fanout n-1 run the same
+// schedule bit for bit (CappedOverlay.FullFanoutBitwiseEquivalentToLegacyMesh).
 //
 // Control-plane layout: every per-edge record is flat and indexed by the
 // edge's CSR rank — the estimators (whose loss windows are inline bit
@@ -46,6 +47,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -88,20 +90,22 @@ struct OverlayConfig {
   double host_failures_per_month = 4.0;
   Duration host_failure_mean = Duration::minutes(45);
 
-  // --- bandwidth-capped link-state (0 = legacy full mesh) ---
+  // --- bandwidth-capped link-state (0 = no cap: full mesh, stride 1) ---
   // Max peers per node in the probed graph (k-nearest); each node
   // announces at most ~fanout of them per probe round, rotating.
   std::size_t fanout = 0;
-  // Landmark count for hierarchical alternates (capped mode only).
+  // Landmark count for hierarchical alternates (unused when the graph is
+  // the full mesh).
   std::size_t landmarks = 8;
   // Modeled wire size of one link-state announcement.
   std::size_t lsa_entry_bytes = 64;
   // Per-node control budget in bytes per probe round; 0 derives
-  // lsa_entry_bytes * min(fanout, degree) * (1 + 2 * followups), the
-  // provable per-round publication ceiling of the rotation (a probe
-  // chain contributes at most 1 + followups publishes to its own round
-  // plus at most `followups` spilling in from the previous round's
-  // chain on the same link).
+  // lsa_entry_bytes * window * (1 + 2 * followups), with window =
+  // min(fanout, degree) (degree at fanout 0), the provable per-round
+  // publication ceiling of the rotation (a probe chain contributes at
+  // most 1 + followups publishes to its own round plus at most
+  // `followups` spilling in from the previous round's chain on the same
+  // link).
   std::int64_t control_budget_bytes = 0;
 };
 
@@ -156,14 +160,12 @@ class OverlayNetwork {
   [[nodiscard]] Router& router(NodeId node) { return *routers_[node]; }
   [[nodiscard]] const Router& router(NodeId node) const { return *routers_[node]; }
 
-  // The probed/announced graph (full mesh in legacy mode).
+  // The probed/announced graph (the full mesh at fanout 0 or >= n-1).
   [[nodiscard]] const NeighborSet& neighbors() const { return table_.neighbors(); }
-  // True when announcement rotation + budget enforcement are active.
-  [[nodiscard]] bool capped() const { return capped_; }
-  // Rotation stride of a node's announcements (1 in legacy mode).
+  // Rotation stride of a node's announcements (1 when its row fits the
+  // fanout or the overlay is uncapped).
   [[nodiscard]] std::uint32_t stride(NodeId node) const { return stride_[node]; }
-  // Control-plane accounting (metered in both modes; enforced when
-  // capped).
+  // Control-plane accounting, metered and enforced against the budget.
   [[nodiscard]] const ControlMeter& control_meter(NodeId node) const { return meters_[node]; }
   [[nodiscard]] std::int64_t control_budget(NodeId node) const { return budget_[node]; }
 
@@ -225,6 +227,10 @@ class OverlayNetwork {
   // period later.
   void probe_tick(std::uint32_t edge, NodeId src, NodeId dst);
   [[nodiscard]] Scheduler::Callback tick_callback(std::uint32_t edge, NodeId src, NodeId dst);
+  // One request/response exchange on the direct path at `now`: the
+  // round-trip time, or nullopt when a leg dropped, dst was down when the
+  // request arrived, or the response missed probe_timeout.
+  [[nodiscard]] std::optional<Duration> probe_exchange(NodeId src, NodeId dst, TimePoint now);
   void probe_once(NodeId src, NodeId dst);
   void send_followup(NodeId src, NodeId dst, int remaining);
   // Schedules send_followup(src, dst, remaining) after followup_spacing
@@ -233,8 +239,8 @@ class OverlayNetwork {
   // Drops followups_ records whose events already fired.
   void prune_followups();
   void publish(NodeId src, NodeId dst);
-  // Legacy dense pair key; still the RNG fork key for probe stagger so
-  // capped runs at full fanout keep the legacy stagger bit for bit.
+  // Dense pair key src * n + dst: the RNG fork key for probe stagger, so
+  // an edge's stagger draw does not depend on the fanout.
   [[nodiscard]] std::size_t link_index(NodeId src, NodeId dst) const;
 
   Network& net_;
@@ -245,10 +251,9 @@ class OverlayNetwork {
   LinkStateTable table_;  // owns the probed graph (neighbors())
   std::vector<std::unique_ptr<Router>> routers_;
   std::vector<LinkEstimator> links_;  // one per directed edge, CSR order
-  std::vector<std::uint32_t> stride_;   // per node, 1 in legacy mode
+  std::vector<std::uint32_t> stride_;   // per node, ceil(degree / window)
   std::vector<std::int64_t> budget_;    // per node, bytes per round
   std::vector<ControlMeter> meters_;    // per node
-  bool capped_ = false;
   std::vector<EventHandle> probe_ticks_;  // one per directed edge, CSR order
   std::vector<PendingFollowup> followups_;
   std::vector<LazyIntervalProcess> host_failures_;

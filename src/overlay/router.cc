@@ -42,7 +42,7 @@ bool entry_expired(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now)
   if (m.samples == 0) return true;  // never published: unknown, not optimistic
   // Rotation-capped publishers refresh every `stride` intervals; scale
   // the TTL so a slower cadence is not misread as staleness. Entries
-  // published every round (stride 1, the legacy cadence) are untouched.
+  // published every round (stride 1, the full mesh's cadence) are untouched.
   const Duration ttl =
       m.stride > 1 ? cfg.entry_ttl * static_cast<std::int64_t>(m.stride) : cfg.entry_ttl;
   return now - m.published > ttl;

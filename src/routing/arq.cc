@@ -84,7 +84,7 @@ void ArqChannel::transmit(Attempt attempt) {
     ++stats_.delivered;
     const double ms = (data_arrival - attempt.first_sent).to_millis_f();
     stats_.delivery_latency_ms.add(ms);
-    stats_.delivery_p99_ms.add(ms);
+    stats_.delivery_cdf_ms.add(ms);
   }
 
   // Arm the retransmission timer.
@@ -98,7 +98,7 @@ void ArqChannel::on_ack(const Attempt& attempt, TimePoint data_arrival, TimePoin
     ++stats_.delivered;
     const double ms = (data_arrival - attempt.first_sent).to_millis_f();
     stats_.delivery_latency_ms.add(ms);
-    stats_.delivery_p99_ms.add(ms);
+    stats_.delivery_cdf_ms.add(ms);
   }
   stats_.ack_latency_ms.add((ack_arrival - attempt.first_sent).to_millis_f());
   // Karn's algorithm: only un-retransmitted samples train the estimator.

@@ -55,7 +55,7 @@ class ArqChannel {
     std::int64_t given_up = 0;        // exceeded max_retransmits
     std::int64_t transmissions = 0;   // data copies on the wire
     RunningStat delivery_latency_ms;  // send -> first arrival at dst
-    P2Quantile delivery_p99_ms{0.99};
+    EmpiricalCdf delivery_cdf_ms;     // the same, one sample per delivered packet
     RunningStat ack_latency_ms;       // send -> ack received
     [[nodiscard]] double delivery_rate() const {
       return packets > 0 ? static_cast<double>(delivered) / static_cast<double>(packets) : 0.0;

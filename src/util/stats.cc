@@ -177,91 +177,6 @@ std::span<const double> EmpiricalCdf::sorted_samples() const {
   return samples_;
 }
 
-// ----------------------------------------------------------------- P2Quantile
-
-P2Quantile::P2Quantile(double q) : q_(q) {
-  assert(q > 0.0 && q < 1.0);
-}
-
-void P2Quantile::init_markers() {
-  std::sort(initial_.begin(), initial_.end());
-  for (int i = 0; i < 5; ++i) {
-    heights_[i] = initial_[static_cast<std::size_t>(i)];
-    pos_[i] = i + 1;
-  }
-  desired_ = {1.0, 1.0 + 2.0 * q_, 1.0 + 4.0 * q_, 3.0 + 2.0 * q_, 5.0};
-  desired_inc_ = {0.0, q_ / 2.0, q_, (1.0 + q_) / 2.0, 1.0};
-}
-
-void P2Quantile::add(double x) {
-  ++count_;
-  if (count_ <= 5) {
-    initial_[static_cast<std::size_t>(count_ - 1)] = x;
-    if (count_ == 5) init_markers();
-    return;
-  }
-
-  // Locate the cell containing x and update extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = x;
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) pos_[i] += 1.0;
-  for (int i = 0; i < 5; ++i) desired_[i] += desired_inc_[i];
-
-  // Adjust interior markers with parabolic (or linear) interpolation.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - pos_[i];
-    if ((d >= 1.0 && pos_[i + 1] - pos_[i] > 1.0) ||
-        (d <= -1.0 && pos_[i - 1] - pos_[i] < -1.0)) {
-      const double sign = d >= 0.0 ? 1.0 : -1.0;
-      // Piecewise-parabolic prediction.
-      const double hp = heights_[i] +
-                        sign / (pos_[i + 1] - pos_[i - 1]) *
-                            ((pos_[i] - pos_[i - 1] + sign) * (heights_[i + 1] - heights_[i]) /
-                                 (pos_[i + 1] - pos_[i]) +
-                             (pos_[i + 1] - pos_[i] - sign) * (heights_[i] - heights_[i - 1]) /
-                                 (pos_[i] - pos_[i - 1]));
-      if (heights_[i - 1] < hp && hp < heights_[i + 1]) {
-        heights_[i] = hp;
-      } else {
-        // Linear fallback.
-        const int j = i + static_cast<int>(sign);
-        heights_[i] += sign * (heights_[j] - heights_[i]) / (pos_[j] - pos_[i]);
-      }
-      pos_[i] += sign;
-    }
-  }
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Insertion sort of the retained samples. std::sort over this short
-    // prefix trips a GCC -Warray-bounds false positive.
-    std::array<double, 5> tmp = initial_;
-    const auto n = static_cast<std::size_t>(count_);
-    for (std::size_t i = 1; i < n; ++i) {
-      const double v = tmp[i];
-      std::size_t j = i;
-      for (; j > 0 && tmp[j - 1] > v; --j) tmp[j] = tmp[j - 1];
-      tmp[j] = v;
-    }
-    const auto idx = static_cast<std::size_t>(
-        std::min<double>(static_cast<double>(count_ - 1),
-                         q_ * static_cast<double>(count_)));
-    return tmp[idx];
-  }
-  return heights_[2];
-}
-
 // ---------------------------------------------------------------- PairCounter
 
 void PairCounter::record(bool first_lost, bool second_lost) {

@@ -111,35 +111,6 @@ class EmpiricalCdf {
   mutable bool sorted_ = false;
 };
 
-// Streaming quantile estimation with the P-square algorithm (Jain &
-// Chlamtac 1985): tracks one quantile with five markers in O(1) memory,
-// without storing samples. Used where RunningStat's moments are not
-// enough (latency tails) but an EmpiricalCdf would be too heavy.
-class P2Quantile {
- public:
-  // q in (0, 1), e.g. 0.99 for p99.
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  [[nodiscard]] std::int64_t count() const { return count_; }
-  // Current estimate; with fewer than 5 samples, the exact order
-  // statistic of what has been seen.
-  [[nodiscard]] double value() const;
-
- private:
-  void init_markers();
-
-  double q_;
-  std::int64_t count_ = 0;
-  // First five observations, sorted at initialization time.
-  std::array<double, 5> initial_{};
-  // P-square state: marker heights, positions, desired positions.
-  std::array<double, 5> heights_{};
-  std::array<double, 5> pos_{};
-  std::array<double, 5> desired_{};
-  std::array<double, 5> desired_inc_{};
-};
-
 // Sent/lost tallies for single packets.
 class LossCounter {
  public:

@@ -3,7 +3,7 @@
 #include <sstream>
 
 #include "util/table.h"
-#include "util/thread_pool.h"
+#include "util/parallel.h"
 
 namespace ronpath {
 
@@ -44,12 +44,11 @@ WorkloadMatrixResult run_workload_matrix(const WorkloadConfig& cfg,
   result.seed = seed;
   result.cells.resize(scenarios.size() * policies.size());
 
-  ThreadPool::for_each_index(
-      result.cells.size(), static_cast<std::size_t>(n_jobs), [&](std::size_t task) {
-        const Scenario& scenario = scenarios[task / policies.size()];
-        const WorkloadPolicy policy = policies[task % policies.size()];
-        result.cells[task] = run_workload_cell(scenario, policy, cfg, seed);
-      });
+  for_each_index(result.cells.size(), static_cast<std::size_t>(n_jobs), [&](std::size_t task) {
+    const Scenario& scenario = scenarios[task / policies.size()];
+    const WorkloadPolicy policy = policies[task % policies.size()];
+    result.cells[task] = run_workload_cell(scenario, policy, cfg, seed);
+  });
   return result;
 }
 

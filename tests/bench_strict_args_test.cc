@@ -106,6 +106,7 @@ TEST(BenchStrictArgs, UnknownFlagExitsTwo) {
     expect_rejects(name, "--shards 4");
   }
   expect_rejects("bench_hotpath", "--shard-sweep");
+  expect_rejects("bench_scale", "--quick --nodes 30 --no-anchor");
   expect_rejects("bench_fig6_design_space", "--fault-scenario link-flap");
   expect_rejects("bench_fig6_design_space", "--trials 3 --jobs 2");
   expect_rejects("bench_table3_datasets", "--csv /dev/null");

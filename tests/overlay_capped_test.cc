@@ -1,6 +1,7 @@
 // The bandwidth-capped link-state overlay (DESIGN.md §14): rotation
-// determinism, full-fanout equivalence with the legacy mesh, and the
-// control-budget property under the canonical fault suite.
+// determinism, full-fanout equivalence with the uncapped (fanout 0) full
+// mesh, and the control-budget property under the canonical fault suite,
+// which every overlay enforces.
 
 #include <gtest/gtest.h>
 
@@ -48,11 +49,11 @@ TEST(CappedOverlay, RotationScheduleDeterministicAcrossRuns) {
 // --------------------------------------------------- full-fanout equivalence
 
 TEST(CappedOverlay, FullFanoutBitwiseEquivalentToLegacyMesh) {
-  // fanout >= n-1 collapses the neighbor graph to the full mesh; the
-  // capped machinery (metering, budget enforcement, stride stamping)
-  // still runs and must be provably inert: byte-identical reports and
-  // field-identical cells against the legacy overlay.
-  FaultMatrixConfig legacy;  // 12-node testbed, full mesh
+  // fanout >= n-1 collapses the neighbor graph to the full mesh that
+  // fanout 0 also builds; metering, budget enforcement and stride
+  // stamping run on both and must be provably inert: byte-identical
+  // reports and field-identical cells.
+  FaultMatrixConfig legacy;  // 12-node testbed, fanout 0
   FaultMatrixConfig capped = legacy;
   capped.overlay_fanout = legacy.node_count - 1;
 
@@ -77,50 +78,59 @@ TEST(CappedOverlay, FullFanoutBitwiseEquivalentToLegacyMesh) {
 // ------------------------------------------------------- budget enforcement
 
 TEST(CappedOverlay, BudgetNeverExceededUnderFaultSuite) {
-  // Property: across every canonical fault scenario, no node's control
-  // meter ever records a round above its budget, and the runtime
-  // invariant audit stays clean.
-  for (const Scenario& s : canonical_scenarios()) {
-    FaultMatrixConfig cfg = capped_cfg(40, 6);
-    SimWorld world(s, FaultScheme::kHybrid, cfg, cfg.seed);
-    world.run_to_end();
-    const OverlayNetwork& overlay = world.overlay();
-    ASSERT_TRUE(overlay.capped());
-    for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
-      const ControlMeter& m = overlay.control_meter(i);
-      EXPECT_LE(m.max_round_bytes, overlay.control_budget(i))
-          << std::string(s.name) << " node " << i;
-      EXPECT_GT(m.total_announces, 0) << std::string(s.name) << " node " << i;
+  // Property: across every canonical fault scenario, on a capped 40-node
+  // graph and on the default 12-node full mesh, no node's control meter
+  // ever records a round above its budget or suppresses a publish, and
+  // the runtime invariant audit stays clean.
+  for (const FaultMatrixConfig& cfg : {capped_cfg(40, 6), FaultMatrixConfig{}}) {
+    for (const Scenario& s : canonical_scenarios()) {
+      const std::string where = std::string(s.name) + " fanout " +
+                                std::to_string(cfg.overlay_fanout);
+      SimWorld world(s, FaultScheme::kHybrid, cfg, cfg.seed);
+      world.run_to_end();
+      const OverlayNetwork& overlay = world.overlay();
+      for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
+        const ControlMeter& m = overlay.control_meter(i);
+        EXPECT_LE(m.max_round_bytes, overlay.control_budget(i)) << where << " node " << i;
+        EXPECT_EQ(m.suppressed, 0) << where << " node " << i;
+        EXPECT_GT(m.total_announces, 0) << where << " node " << i;
+      }
+      std::vector<std::string> violations;
+      world.check_invariants(violations);
+      EXPECT_TRUE(violations.empty())
+          << where << ": " << (violations.empty() ? "" : violations.front());
     }
-    std::vector<std::string> violations;
-    world.check_invariants(violations);
-    EXPECT_TRUE(violations.empty())
-        << std::string(s.name) << ": " << (violations.empty() ? "" : violations.front());
   }
 }
 
 TEST(CappedOverlay, TinyBudgetSuppressesButNeverOverruns) {
-  Topology topo = testbed_2002();
-  Network net(topo, NetConfig::profile_2003(), Duration::hours(2), Rng(42));
-  Scheduler sched;
-  OverlayConfig cfg;
-  cfg.fanout = 4;
-  cfg.landmarks = 2;
-  cfg.control_budget_bytes = static_cast<std::int64_t>(cfg.lsa_entry_bytes);  // one entry/round
-  OverlayNetwork overlay(net, sched, cfg, Rng(43));
-  overlay.start();
-  sched.run_until(TimePoint::epoch() + Duration::minutes(30));
+  // A capped graph and the uncapped full mesh (fanout 0) enforce the
+  // same budget.
+  for (const std::size_t fanout : {std::size_t{4}, std::size_t{0}}) {
+    Topology topo = testbed_2002();
+    Network net(topo, NetConfig::profile_2003(), Duration::hours(2), Rng(42));
+    Scheduler sched;
+    OverlayConfig cfg;
+    cfg.fanout = fanout;
+    cfg.landmarks = 2;
+    cfg.control_budget_bytes = static_cast<std::int64_t>(cfg.lsa_entry_bytes);  // one entry/round
+    OverlayNetwork overlay(net, sched, cfg, Rng(43));
+    overlay.start();
+    sched.run_until(TimePoint::epoch() + Duration::minutes(30));
 
-  std::int64_t suppressed = 0;
-  for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
-    const ControlMeter& m = overlay.control_meter(i);
-    EXPECT_LE(m.max_round_bytes, overlay.control_budget(i)) << "node " << i;
-    suppressed += m.suppressed;
+    std::int64_t suppressed = 0;
+    for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
+      const ControlMeter& m = overlay.control_meter(i);
+      EXPECT_LE(m.max_round_bytes, overlay.control_budget(i))
+          << "fanout " << fanout << " node " << i;
+      suppressed += m.suppressed;
+    }
+    EXPECT_GT(suppressed, 0) << "fanout " << fanout;  // the cap actually bit
+    std::vector<std::string> violations;
+    overlay.check_invariants(sched.now(), violations);
+    EXPECT_TRUE(violations.empty())
+        << "fanout " << fanout << ": " << (violations.empty() ? "" : violations.front());
   }
-  EXPECT_GT(suppressed, 0);  // the cap actually bit
-  std::vector<std::string> violations;
-  overlay.check_invariants(sched.now(), violations);
-  EXPECT_TRUE(violations.empty()) << (violations.empty() ? "" : violations.front());
 }
 
 TEST(CappedOverlay, StrideMatchesDegreeOverFanout) {
@@ -131,7 +141,6 @@ TEST(CappedOverlay, StrideMatchesDegreeOverFanout) {
   cfg.fanout = 4;
   cfg.landmarks = 2;
   OverlayNetwork overlay(net, sched, cfg, Rng(43));
-  ASSERT_TRUE(overlay.capped());
   const NeighborSet& nbrs = overlay.neighbors();
   for (NodeId i = 0; i < static_cast<NodeId>(overlay.size()); ++i) {
     const std::size_t degree = nbrs.degree(i);
@@ -140,6 +149,14 @@ TEST(CappedOverlay, StrideMatchesDegreeOverFanout) {
             ? static_cast<std::uint32_t>((degree + cfg.fanout - 1) / cfg.fanout)
             : 1u;
     EXPECT_EQ(overlay.stride(i), want) << "node " << i << " degree " << degree;
+  }
+
+  // Fanout 0 is uncapped: the full mesh, every row announced each round.
+  OverlayConfig uncapped;
+  OverlayNetwork mesh(net, sched, uncapped, Rng(43));
+  ASSERT_TRUE(mesh.neighbors().full());
+  for (NodeId i = 0; i < static_cast<NodeId>(mesh.size()); ++i) {
+    EXPECT_EQ(mesh.stride(i), 1u) << "node " << i;
   }
 }
 

@@ -85,6 +85,9 @@ TEST(ArqChannel, LatencyTailStretchesUnderLoss) {
   EXPECT_GT(st.delivery_latency_ms.max(), 200.0);
   // While the mean stays near the path RTT-ish scale.
   EXPECT_LT(st.delivery_latency_ms.mean(), 100.0);
+  // One latency sample per delivered packet, so its p99 is exact.
+  EXPECT_EQ(static_cast<std::int64_t>(st.delivery_cdf_ms.size()), st.delivered);
+  EXPECT_DOUBLE_EQ(st.delivery_cdf_ms.max(), st.delivery_latency_ms.max());
 }
 
 TEST(ArqChannel, GivesUpAfterMaxRetransmits) {

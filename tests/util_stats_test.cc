@@ -201,63 +201,6 @@ TEST(PairCounter, Merge) {
   EXPECT_NEAR(*a.conditional_loss_percent(), 50.0, 1e-9);
 }
 
-TEST(P2Quantile, ExactForFewSamples) {
-  P2Quantile p(0.5);
-  p.add(3.0);
-  EXPECT_DOUBLE_EQ(p.value(), 3.0);
-  p.add(1.0);
-  p.add(2.0);
-  // Median-ish of {1,2,3}.
-  EXPECT_NEAR(p.value(), 2.0, 1.0);
-}
-
-TEST(P2Quantile, MedianOfUniform) {
-  Rng rng(41);
-  P2Quantile p(0.5);
-  for (int i = 0; i < 100'000; ++i) p.add(rng.uniform(0.0, 10.0));
-  EXPECT_NEAR(p.value(), 5.0, 0.15);
-}
-
-TEST(P2Quantile, TailQuantileOfExponential) {
-  Rng rng(43);
-  P2Quantile p(0.99);
-  EmpiricalCdf exact;
-  for (int i = 0; i < 200'000; ++i) {
-    const double x = rng.exponential(10.0);
-    p.add(x);
-    exact.add(x);
-  }
-  // p99 of Exp(mean 10) = -10 ln(0.01) ~= 46.05.
-  EXPECT_NEAR(p.value(), exact.quantile(0.99), 0.1 * exact.quantile(0.99));
-  EXPECT_NEAR(p.value(), 46.05, 6.0);
-}
-
-TEST(P2Quantile, MonotoneUnderShift) {
-  // Estimates for a higher distribution are higher.
-  Rng rng(47);
-  P2Quantile lo(0.9);
-  P2Quantile hi(0.9);
-  for (int i = 0; i < 20'000; ++i) {
-    const double x = rng.normal(0.0, 1.0);
-    lo.add(x);
-    hi.add(x + 5.0);
-  }
-  EXPECT_NEAR(hi.value() - lo.value(), 5.0, 0.5);
-}
-
-TEST(P2Quantile, CountTracks) {
-  P2Quantile p(0.75);
-  for (int i = 0; i < 10; ++i) p.add(i);
-  EXPECT_EQ(p.count(), 10);
-  EXPECT_GT(p.value(), 4.0);
-  EXPECT_LE(p.value(), 9.0);
-}
-
-TEST(P2Quantile, EmptyIsZero) {
-  P2Quantile p(0.9);
-  EXPECT_DOUBLE_EQ(p.value(), 0.0);
-}
-
 // Property: independence implies clp ~= second marginal.
 TEST(PairCounter, IndependentLossesHaveClpNearMarginal) {
   Rng rng(77);
