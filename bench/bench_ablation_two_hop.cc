@@ -1,8 +1,9 @@
 // Ablation: does a second overlay hop buy anything? The paper's router
-// uses "at most one intermediate node"; this ablation asks the path
-// engine's round search for the best path through up to two relays
-// (under the router's default config) and measures what the second hop
-// would add.
+// uses "at most one intermediate node"; this ablation searches for the
+// best path through up to two relays (under the router's default
+// config) and measures what the second hop would add. The two-relay
+// search and the chained send below live here because nothing else
+// routes through a second relay: the forwarding plane carries one.
 //
 // Expectation from the model: very little. The unavoidable shared-edge
 // components dominate residual loss, every extra hop stacks two more
@@ -11,17 +12,99 @@
 // quantify why RON stopped at one.
 
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/testbed.h"
 #include "event/scheduler.h"
 #include "net/network.h"
 #include "overlay/overlay.h"
-#include "overlay/path_engine.h"
 #include "util/stats.h"
 #include "util/table.h"
 
 using namespace ronpath;
+
+namespace {
+
+// Relays of a path src -> dst: none (a == kDirectVia), one (b ==
+// kDirectVia), or src -> a -> b -> dst.
+struct TwoRelayPath {
+  NodeId a = kDirectVia;
+  NodeId b = kDirectVia;
+};
+
+// Best loss path src -> dst through at most two relays, every node that
+// seems up but the endpoints a candidate. Each node w first gets its
+// best one-relay label src -> u -> w by survival (1 - l) * (1 - l),
+// then the best last relay extends a label to dst. Relays are scanned
+// in ascending id order keeping the first strict improvement. The pick
+// starts at the direct path's loss and moves to one relay, then to two,
+// only where (1 - survival) + relays * indirect_loss_penalty is
+// strictly smaller, so ties resolve to fewer relays.
+TwoRelayPath best_loss_two_relays(const LinkStateTable& t, const RouterConfig& cfg, NodeId src,
+                                  NodeId dst, TimePoint now) {
+  const auto n = static_cast<NodeId>(t.size());
+  const auto loss = [&](NodeId u, NodeId w) { return link_loss(t.get(u, w), cfg, now); };
+  const auto relay = [&](NodeId u) { return u != src && u != dst && t.node_seems_up(u); };
+  std::vector<double> label(n, 0.0);
+  std::vector<NodeId> first(n, kInvalidNode);  // kInvalidNode: no label
+  for (NodeId w = 0; w < n; ++w) {
+    if (w == src) continue;
+    for (NodeId u = 0; u < n; ++u) {
+      if (u == w || !relay(u)) continue;
+      const double s = (1.0 - loss(src, u)) * (1.0 - loss(u, w));
+      if (first[w] == kInvalidNode || s > label[w]) {
+        label[w] = s;
+        first[w] = u;
+      }
+    }
+  }
+  NodeId last = kInvalidNode;
+  double two = 0.0;
+  for (NodeId u = 0; u < n; ++u) {
+    if (!relay(u) || first[u] == kInvalidNode) continue;
+    const double s = label[u] * (1.0 - loss(u, dst));
+    if (last == kInvalidNode || s > two) {
+      two = s;
+      last = u;
+    }
+  }
+  TwoRelayPath best;
+  double best_loss = loss(src, dst);
+  if (first[dst] != kInvalidNode && (1.0 - label[dst]) + cfg.indirect_loss_penalty < best_loss) {
+    best_loss = (1.0 - label[dst]) + cfg.indirect_loss_penalty;
+    best.a = first[dst];
+  }
+  if (last != kInvalidNode && (1.0 - two) + 2.0 * cfg.indirect_loss_penalty < best_loss) {
+    best = {first[last], last};
+  }
+  return best;
+}
+
+// Sends src -> a -> b -> dst as two underlay transmits: src -> a -> b at
+// `t`, then b -> dst once the first leg arrived and b turned the packet
+// around. The node_up calls are OverlayNetwork::send's, in its order.
+OverlaySendResult send_two_relays(OverlayNetwork& overlay, Network& net, NodeId src, NodeId dst,
+                                  const TwoRelayPath& p, TimePoint t) {
+  OverlaySendResult r;
+  r.src_up = overlay.node_up(src, t);
+  r.via_up = overlay.node_up(p.a, t) && overlay.node_up(p.b, t);
+  if (!r.via_up) {
+    r.net = net.transmit(PathSpec{src, p.a, kDirectVia}, t);
+    r.net.delivered = false;
+    return r;
+  }
+  r.net = net.transmit(PathSpec{src, p.b, p.a}, t);
+  if (!r.net.delivered) return r;
+  const Duration first = r.net.latency + net.config().forward_delay;
+  r.net = net.transmit(PathSpec{p.b, dst, kDirectVia}, t + first);
+  if (!r.net.delivered) return r;
+  r.net.latency += first;
+  r.dst_up = overlay.node_up(dst, t + r.net.latency);
+  return r;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args =
@@ -38,7 +121,6 @@ int main(int argc, char** argv) {
   overlay.start();
   sched.run_until(TimePoint::epoch() + Duration::minutes(40));
   const RouterConfig two_hop_cfg;
-  PathEngine two_hop(overlay.table(), two_hop_cfg);
 
   LossCounter direct_loss;
   LossCounter one_hop_loss;
@@ -56,14 +138,19 @@ int main(int argc, char** argv) {
     NodeId dst = src;
     while (dst == src) dst = static_cast<NodeId>(pick.next_below(topo.size()));
 
-    const PathSpec one = overlay.router(src).best_loss_path(dst).path;
-    const PathSpec two = two_hop.best_loss(src, dst, 2, TimePoint::epoch()).path.to_spec(src, dst);
+    // Both queries at epoch, not `t`: the ROADMAP's hybrid re-pin passes
+    // the send time.
+    const PathSpec one = overlay.router(src).best_loss_path(dst, TimePoint::epoch()).path;
+    const TwoRelayPath two =
+        best_loss_two_relays(overlay.table(), two_hop_cfg, src, dst, TimePoint::epoch());
     ++evaluations;
-    if (two.is_two_hop()) ++picked_two_hop;
+    const bool second_relay = two.b != kDirectVia;
+    if (second_relay) ++picked_two_hop;
 
     const auto rd = overlay.send(PathSpec{src, dst, kDirectVia}, t);
     const auto r1 = overlay.send(one, t);
-    const auto r2 = overlay.send(two, t);
+    const auto r2 = second_relay ? send_two_relays(overlay, net, src, dst, two, t)
+                                 : overlay.send(PathSpec{src, dst, two.a}, t);
     direct_loss.record(!rd.delivered());
     one_hop_loss.record(!r1.delivered());
     two_hop_loss.record(!r2.delivered());

@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
                 static_cast<long long>(overlay.probes_sent()));
     for (NodeId w : watchers) {
       auto& router = overlay.router(w);
-      const auto loss_pick = router.best_loss_path(dst);
-      const auto lat_pick = router.best_lat_path(dst);
+      const auto loss_pick = router.best_loss_path(dst, TimePoint::epoch());
+      const auto lat_pick = router.best_lat_path(dst, TimePoint::epoch());
       const auto& est = overlay.estimator(w, dst);
       const std::string loss_via =
           loss_pick.path.is_direct() ? "direct" : topo.site(loss_pick.path.via).name;

@@ -59,8 +59,8 @@ int main() {
   }
 
   // 4. Ask the routers what they currently think.
-  const auto loss_choice = overlay.router(src).best_loss_path(dst);
-  const auto lat_choice = overlay.router(src).best_lat_path(dst);
+  const auto loss_choice = overlay.router(src).best_loss_path(dst, TimePoint::epoch());
+  const auto lat_choice = overlay.router(src).best_lat_path(dst, TimePoint::epoch());
   std::printf("\nrouter state at MIT for destination Korea:\n");
   std::printf("  loss-optimized: %s (est loss %.2f%%)\n",
               loss_choice.path.is_direct() ? "direct"

@@ -101,42 +101,25 @@ std::size_t Topology::hops_into(const PathSpec& path, Hop* out) const {
   assert(path.src < sites_.size() && path.dst < sites_.size());
   assert(path.src != path.dst);
   Hop* w = out;
-  auto egress = [&](NodeId site) {
-    *w++ = {site_index(site, SiteComp::kUp), site, false};
-    *w++ = {site_index(site, SiteComp::kProvOut), site, false};
-  };
-  // `forwarder`: this ingress terminates at an intermediate that must
-  // turn the packet around at application level.
-  auto ingress = [&](NodeId site, bool forwarder) {
-    *w++ = {site_index(site, SiteComp::kProvIn), site, false};
-    *w++ = {site_index(site, SiteComp::kDown), site, forwarder};
+  // One overlay leg: egress at `from` (up, provider out), the core
+  // segment, ingress at `to` (provider in, down). `forwarder`: the
+  // ingress terminates at an intermediate that must turn the packet
+  // around at application level.
+  auto leg = [&](NodeId from, NodeId to, bool forwarder) {
+    *w++ = {site_index(from, SiteComp::kUp), from, false};
+    *w++ = {site_index(from, SiteComp::kProvOut), from, false};
+    *w++ = {core_index(from, to), from, false};
+    *w++ = {site_index(to, SiteComp::kProvIn), to, false};
+    *w++ = {site_index(to, SiteComp::kDown), to, forwarder};
   };
 
   if (path.is_direct()) {
-    egress(path.src);
-    *w++ = {core_index(path.src, path.dst), path.src, false};
-    ingress(path.dst, false);
-    return static_cast<std::size_t>(w - out);
-  }
-
-  assert(path.via < sites_.size());
-  assert(path.via != path.src && path.via != path.dst);
-  NodeId waypoints[4] = {path.src, path.via, path.dst, path.dst};
-  std::size_t n_waypoints = 3;
-  if (path.is_two_hop()) {
-    assert(path.via2 < sites_.size());
-    assert(path.via2 != path.src && path.via2 != path.dst && path.via2 != path.via);
-    waypoints[2] = path.via2;
-    waypoints[3] = path.dst;
-    n_waypoints = 4;
-  }
-
-  for (std::size_t leg = 0; leg + 1 < n_waypoints; ++leg) {
-    const NodeId from = waypoints[leg];
-    const NodeId to = waypoints[leg + 1];
-    egress(from);
-    *w++ = {core_index(from, to), from, false};
-    ingress(to, /*forwarder=*/leg + 2 < n_waypoints);
+    leg(path.src, path.dst, false);
+  } else {
+    assert(path.via < sites_.size());
+    assert(path.via != path.src && path.via != path.dst);
+    leg(path.src, path.via, true);
+    leg(path.via, path.dst, false);
   }
   return static_cast<std::size_t>(w - out);
 }

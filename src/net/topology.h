@@ -123,8 +123,8 @@ class Topology {
   };
   [[nodiscard]] std::vector<Hop> hops(const PathSpec& path) const;
 
-  // Most components a path can traverse (two-hop: three legs of five).
-  static constexpr std::size_t kMaxHops = 15;
+  // Most components a path can traverse (one relay: two legs of five).
+  static constexpr std::size_t kMaxHops = 10;
   // Allocation-free variant for the packet hot path: writes up to kMaxHops
   // entries into `out` and returns the count.
   std::size_t hops_into(const PathSpec& path, Hop* out) const;

@@ -252,11 +252,10 @@ OverlaySendResult OverlayNetwork::send(const PathSpec& path, TimePoint t) {
   OverlaySendResult r;
   r.src_up = node_up(path.src, t);
   if (!path.is_direct()) {
-    // Liveness of the intermediates is checked at (approximately) the
-    // time the packet reaches them; hour-scale failures make the
+    // Liveness of the intermediate is checked at (approximately) the
+    // time the packet reaches it; hour-scale failures make the
     // sub-second approximation immaterial.
     r.via_up = node_up(path.via, t);
-    if (r.via_up && path.is_two_hop()) r.via_up = node_up(path.via2, t);
   }
   if (!r.via_up) {
     // The packet dies at a dead forwarder; the underlay is not exercised

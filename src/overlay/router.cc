@@ -10,13 +10,14 @@
 namespace ronpath {
 namespace {
 
-// A stored incumbent is a path from `self` to its destination key
-// through at most one relay: `via` is a node or kDirectVia, and there is
-// no second relay. Shared by restore_state (on the raw fields) and
-// check_invariants.
-bool incumbent_ok(std::uint64_t src, std::uint64_t dst, std::uint64_t via, std::uint64_t via2,
-                  NodeId self, std::uint64_t key, std::size_t n) {
-  return src == self && dst == key && (via == kDirectVia || via < n) && via2 == kDirectVia;
+// A stored incumbent is a path from `self` to its destination key that
+// is direct (`via` is kDirectVia) or goes through one relay that is a
+// node other than the two endpoints. Shared by restore_state (on the raw
+// fields) and check_invariants.
+bool incumbent_ok(std::uint64_t src, std::uint64_t dst, std::uint64_t via, NodeId self,
+                  std::uint64_t key, std::size_t n) {
+  return src == self && dst == key &&
+         (via == kDirectVia || (via < n && via != src && via != dst));
 }
 
 }  // namespace
@@ -51,12 +52,6 @@ bool entry_expired(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now)
 double path_loss_estimate(const LinkStateTable& table, const PathSpec& path,
                           const RouterConfig& cfg, TimePoint now) {
   if (path.is_direct()) return link_loss(table.get(path.src, path.dst), cfg, now);
-  if (path.is_two_hop()) {
-    const double l1 = link_loss(table.get(path.src, path.via), cfg, now);
-    const double l2 = link_loss(table.get(path.via, path.via2), cfg, now);
-    const double l3 = link_loss(table.get(path.via2, path.dst), cfg, now);
-    return 1.0 - (1.0 - l1) * (1.0 - l2) * (1.0 - l3);
-  }
   const double l1 = link_loss(table.get(path.src, path.via), cfg, now);
   const double l2 = link_loss(table.get(path.via, path.dst), cfg, now);
   return 1.0 - (1.0 - l1) * (1.0 - l2);
@@ -66,13 +61,6 @@ Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path
                                const RouterConfig& cfg, TimePoint now) {
   using D = Duration;
   if (path.is_direct()) return link_latency(table.get(path.src, path.dst), cfg, now);
-  if (path.is_two_hop()) {
-    const Duration d1 = link_latency(table.get(path.src, path.via), cfg, now);
-    const Duration d2 = link_latency(table.get(path.via, path.via2), cfg, now);
-    const Duration d3 = link_latency(table.get(path.via2, path.dst), cfg, now);
-    return D::saturating_add(D::saturating_add(D::saturating_add(d1, d2), d3),
-                             cfg.forward_delay + cfg.forward_delay);
-  }
   const Duration d1 = link_latency(table.get(path.src, path.via), cfg, now);
   const Duration d2 = link_latency(table.get(path.via, path.dst), cfg, now);
   return D::saturating_add(D::saturating_add(d1, d2), cfg.forward_delay);
@@ -80,10 +68,6 @@ Duration path_latency_estimate(const LinkStateTable& table, const PathSpec& path
 
 bool path_down(const LinkStateTable& table, const PathSpec& path) {
   if (path.is_direct()) return table.get(path.src, path.dst).down;
-  if (path.is_two_hop()) {
-    return table.get(path.src, path.via).down || table.get(path.via, path.via2).down ||
-           table.get(path.via2, path.dst).down;
-  }
   return table.get(path.src, path.via).down || table.get(path.via, path.dst).down;
 }
 
@@ -224,7 +208,7 @@ PathChoice Router::evaluate_loss(NodeId dst, DstState& st, TimePoint now) {
   // loop's composition and tie-break expressions.
   const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
   const EngineChoice cand = engine_->best_loss(self_, dst, now, filter);
-  PathChoice best{cand.path.to_spec(self_, dst), cand.loss, Duration::zero()};
+  PathChoice best{PathSpec{self_, dst, cand.via}, cand.loss, Duration::zero()};
 
   // Hysteresis: keep the incumbent while it is close to the best.
   if (inc && !held_down(dst, inc->via, now)) {
@@ -256,7 +240,7 @@ PathChoice Router::evaluate_lat(NodeId dst, DstState& st, TimePoint now) {
 
   const RelayFilter filter{.endpoint_rows = true, .excluded = held_vias(dst, now)};
   const EngineChoice cand = engine_->best_latency(self_, dst, now, filter);
-  PathChoice best{cand.path.to_spec(self_, dst), 0.0, cand.latency};
+  PathChoice best{PathSpec{self_, dst, cand.via}, 0.0, cand.latency};
 
   if (inc && best.latency != Duration::max() && !held_down(dst, inc->via, now)) {
     const Duration inc_lat = path_latency_estimate(table_, *inc, cfg_, now);
@@ -293,7 +277,6 @@ void Router::save_state(snap::Encoder& e) const {
       e.u64(p->src);
       e.u64(p->dst);
       e.u64(p->via);
-      e.u64(p->via2);
     }
   };
   // Sorted flat maps serialize in key order: deterministic regardless
@@ -327,8 +310,7 @@ void Router::restore_state(snap::Decoder& d) {
     const std::uint64_t src = d.u64();
     const std::uint64_t dst = d.u64();
     const std::uint64_t via = d.u64();
-    const std::uint64_t via2 = d.u64();
-    if (!incumbent_ok(src, dst, via, via2, self_, key, table_.size())) {
+    if (!incumbent_ok(src, dst, via, self_, key, table_.size())) {
       throw snap::SnapshotError("snapshot: malformed router incumbent for dst " +
                                 std::to_string(key));
     }
@@ -401,7 +383,7 @@ void Router::check_invariants(TimePoint now, std::vector<std::string>& out) cons
       out.push_back(who + ": destination state keys out of order");
     }
     const auto check_path = [&](const std::optional<PathSpec>& p, const char* kind) {
-      if (p && !incumbent_ok(p->src, p->dst, p->via, p->via2, self_, dst, n)) {
+      if (p && !incumbent_ok(p->src, p->dst, p->via, self_, dst, n)) {
         out.push_back(who + ": malformed " + kind + " incumbent for dst " +
                       std::to_string(dst));
       }

@@ -3,9 +3,8 @@
 // For a source-destination pair the candidate set is the direct Internet
 // path plus every one-intermediate path through a node that currently
 // seems up; the router never selects a second relay (RON stops at one,
-// and bench_ablation_two_hop measures what a second would add through
-// the path engine's round search). Two objectives are provided,
-// matching Table 4:
+// and bench_ablation_two_hop measures what a second would add with its
+// own search). Two objectives are provided, matching Table 4:
 //
 //   loss - minimize composed loss probability over the last-100-probe
 //          window estimates;
@@ -123,8 +122,8 @@ struct PathChoice {
 [[nodiscard]] Duration link_latency(const LinkMetrics& m, const RouterConfig& cfg, TimePoint now);
 
 // Composed one-way loss estimate of a path under the table's current view
-// and the staleness policy at `now`. Handles direct, one-hop and two-hop
-// paths; with entry_ttl == 0 entries are trusted forever.
+// and the staleness policy at `now`. Handles direct and one-relay paths;
+// with entry_ttl == 0 entries are trusted forever.
 [[nodiscard]] double path_loss_estimate(const LinkStateTable& table, const PathSpec& path,
                                         const RouterConfig& cfg, TimePoint now);
 // Composed one-way latency estimate; Duration::max() when unknown.
@@ -143,11 +142,11 @@ class Router {
   ~Router();  // out of line: PathEngine is incomplete here
 
   // Best path choices under each objective; re-evaluated on demand.
-  // `now` drives the staleness and hold-down policies; with those knobs
-  // at their defaults it is unused and the historical single-argument
-  // call sites behave identically.
-  [[nodiscard]] PathChoice best_loss_path(NodeId dst, TimePoint now = TimePoint::epoch());
-  [[nodiscard]] PathChoice best_lat_path(NodeId dst, TimePoint now = TimePoint::epoch());
+  // `now` drives the staleness and hold-down policies: entries age and
+  // hold-downs end against it. Queried at TimePoint::epoch(), no
+  // published entry ever ages and no hold-down ever ends.
+  [[nodiscard]] PathChoice best_loss_path(NodeId dst, TimePoint now);
+  [[nodiscard]] PathChoice best_lat_path(NodeId dst, TimePoint now);
 
   // True when the degradation policy says this node's view is too stale
   // to route indirectly (fraction of expired own entries exceeds
@@ -170,16 +169,17 @@ class Router {
   [[nodiscard]] std::vector<NodeId> live_intermediates(NodeId dst) const;
 
   // Snapshot support: incumbents, switch counters and hold-down state.
-  // The path engine holds only per-query scratch and is not serialized.
+  // The path engine holds no state and is not serialized.
   // restore_state rejects keys and incumbents that check_invariants
-  // would flag as out of range or malformed (an incumbent with a second
-  // relay among them: the router never selects one).
+  // would flag as out of range or malformed (an incumbent whose relay is
+  // one of its endpoints among them: the router never selects one).
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 
   // Invariant auditor: hold-down strike monotonicity (strikes in [0,20],
   // bans bounded by holddown_max from the last down event), incumbent
-  // well-formedness (direct or one relay), and flat-map key ordering.
+  // well-formedness (direct, or one relay other than the endpoints), and
+  // flat-map key ordering.
   void check_invariants(TimePoint now, std::vector<std::string>& out) const;
 
  private:
@@ -217,9 +217,8 @@ class Router {
   // snapshots are deterministic regardless of touch order.
   std::vector<std::pair<NodeId, DstState>> dst_states_;
   std::vector<std::pair<std::size_t, Holddown>> holddown_;  // key: dst * (n+1) + via-slot
-  // Candidate evaluation kernel (owned; scratch state only, so const
-  // queries may use it). unique_ptr keeps router.h free of the engine
-  // header.
+  // Candidate evaluation kernel (owned and stateless, so const queries
+  // may use it). unique_ptr keeps router.h free of the engine header.
   std::unique_ptr<PathEngine> engine_;
   std::vector<NodeId> held_scratch_;
 };

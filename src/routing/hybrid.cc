@@ -41,14 +41,15 @@ PathSpec HybridSender::alternate_path(NodeId src, NodeId dst, const PathSpec& pr
     // No candidate at all (tiny overlays): fall back to a random pick.
     return overlay_.route(src, dst, RouteTag::kRand);
   }
-  return cand.path.to_spec(src, dst);
+  return PathSpec{src, dst, cand.via};
 }
 
 HybridOutcome HybridSender::send(NodeId src, NodeId dst, TimePoint now) {
   assert(src != dst);
   ++packets_;
 
-  const PathChoice primary = overlay_.router(src).best_loss_path(dst);
+  // Epoch, not `now`: the ROADMAP's hybrid re-pin passes the send time.
+  const PathChoice primary = overlay_.router(src).best_loss_path(dst, TimePoint::epoch());
   HybridOutcome out;
   out.probe.scheme = PairScheme::kLatLoss;  // closest registry label
   out.probe.probe_id = rng_.next_u64();

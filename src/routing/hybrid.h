@@ -90,7 +90,7 @@ class HybridSender {
   [[nodiscard]] std::int64_t duplicated() const { return duplicated_; }
 
   // Snapshot support: RNG stream and overhead counters (the alternate
-  // path engine holds only per-query scratch).
+  // path engine holds no state).
   void save_state(snap::Encoder& e) const;
   void restore_state(snap::Decoder& d);
 

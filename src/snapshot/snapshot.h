@@ -5,7 +5,7 @@
 //
 //   offset  size  field
 //        0     8  magic "RONPSNAP"
-//        8     4  format version (currently 7; DESIGN.md §12 lists
+//        8     4  format version (currently 9; DESIGN.md §12 lists
 //                 what each version changed)
 //       12     8  context fingerprint (FNV-1a over scenario/scheme/
 //                 config/seeds; see CellRun::cell_fingerprint)
@@ -34,7 +34,7 @@
 
 namespace ronpath::snap {
 
-inline constexpr std::uint32_t kSnapshotVersion = 8;
+inline constexpr std::uint32_t kSnapshotVersion = 9;
 inline constexpr std::size_t kSnapshotHeaderBytes = 28;
 inline constexpr std::size_t kSnapshotMinBytes = kSnapshotHeaderBytes + 8;
 

@@ -13,25 +13,19 @@ inline constexpr NodeId kInvalidNode = 0xFFFF;
 // "via" value meaning a packet takes the direct Internet path.
 inline constexpr NodeId kDirectVia = 0xFFFE;
 
-// An overlay path with up to two intermediates: direct when via ==
-// kDirectVia; src -> via -> dst; or src -> via -> via2 -> dst. The
-// paper's reactive router considers at most one intermediate ("a
-// generalized scheme would also need to choose the sets of nodes");
-// two-hop paths are provided for the scaling extension and ablations.
+// An overlay path through at most one intermediate: direct when via ==
+// kDirectVia, else src -> via -> dst. The paper's reactive router
+// considers at most one intermediate ("a generalized scheme would also
+// need to choose the sets of nodes"); bench_ablation_two_hop sends its
+// two-relay paths as a one-relay transmit chained to a direct one.
 struct PathSpec {
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
   NodeId via = kDirectVia;
-  NodeId via2 = kDirectVia;  // only meaningful when via is set
 
   [[nodiscard]] constexpr bool is_direct() const { return via == kDirectVia; }
-  [[nodiscard]] constexpr bool is_two_hop() const {
-    return via != kDirectVia && via2 != kDirectVia;
-  }
-  // Number of overlay forwarding hops (0, 1 or 2).
-  [[nodiscard]] constexpr int intermediates() const {
-    return (via != kDirectVia ? 1 : 0) + (via2 != kDirectVia ? 1 : 0);
-  }
+  // Number of overlay forwarding hops (0 or 1).
+  [[nodiscard]] constexpr int intermediates() const { return is_direct() ? 0 : 1; }
   friend constexpr bool operator==(const PathSpec&, const PathSpec&) = default;
 };
 

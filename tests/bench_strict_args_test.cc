@@ -58,10 +58,10 @@ void expect_rejects(const std::string& name, const std::string& args) {
 // The benches the original atoll sweep fixed, plus the perf benches.
 const char* kSeedBenches[] = {
     "bench_hybrid_sweetspot", "bench_ablation_shared_bottleneck", "bench_failover_time",
-    "bench_fec_spread",       "bench_recovery_latency",           "bench_ablation_path_depth",
-    "bench_ablation_burst_gap", "bench_hotpath",                  "bench_scale",
-    "bench_workload",         "bench_loss_runs",                  "bench_ablation_two_hop",
-    "bench_table1_testbed",   "bench_table4_tactics",
+    "bench_fec_spread",       "bench_recovery_latency",           "bench_ablation_burst_gap",
+    "bench_hotpath",          "bench_scale",                      "bench_workload",
+    "bench_loss_runs",        "bench_ablation_two_hop",           "bench_table1_testbed",
+    "bench_table4_tactics",
 };
 
 TEST(BenchStrictArgs, NonNumericSeedExitsTwo) {

@@ -74,11 +74,9 @@ TEST(Degradation, UnknownLatencyDoesNotOverflowComposition) {
   cfg.entry_ttl = Duration::seconds(60);
   // One stale leg poisons the whole composed path to "unknown" instead of
   // wrapping around Duration::max() into a tiny (attractive) latency.
-  // 0->2 is the first leg of both the one-hop {0,1,2} and two-hop
-  // {0,1,2,3} compositions below.
+  // 0->2 is the first leg of the one-relay {0,1,2} composition below.
   t.publish(0, 2, metrics(0.0, Duration::millis(10), at_s(-3600)));
   EXPECT_EQ(path_latency_estimate(t, PathSpec{0, 1, 2}, cfg, at_s(30)), Duration::max());
-  EXPECT_EQ(path_latency_estimate(t, PathSpec{0, 1, 2, 3}, cfg, at_s(30)), Duration::max());
 }
 
 TEST(Degradation, DegradedViewFallsBackToDirect) {
@@ -168,7 +166,7 @@ TEST(Degradation, KnobsOffReproducesHistoricalBehavior) {
   RouterConfig cfg;  // all degradation knobs at their zero defaults
   Router router(0, t, cfg);
   // Epoch-default and explicit-now calls agree: `now` is inert.
-  EXPECT_EQ(router.best_loss_path(1).path.via, 2u);
+  EXPECT_EQ(router.best_loss_path(1, TimePoint::epoch()).path.via, 2u);
   EXPECT_EQ(router.best_loss_path(1, at_s(1'000'000)).path.via, 2u);
   EXPECT_FALSE(router.view_degraded(at_s(1'000'000)));
   EXPECT_FALSE(router.held_down(1, 2, at_s(1'000'000)));

@@ -65,29 +65,6 @@ TEST(Network, IndirectBaseLatencyExceedsLegs) {
   EXPECT_GT(net.base_latency(direct), Duration::zero());
 }
 
-TEST(Network, TwoHopBaseLatencyComposes) {
-  Network net = make_net();
-  const Duration leg1 = net.base_latency(PathSpec{0, 2, kDirectVia});
-  const Duration leg2 = net.base_latency(PathSpec{2, 5, kDirectVia});
-  const Duration leg3 = net.base_latency(PathSpec{5, 1, kDirectVia});
-  const Duration two = net.base_latency(PathSpec{0, 1, 2, 5});
-  EXPECT_EQ(two, leg1 + leg2 + leg3 + 2 * net.config().forward_delay);
-}
-
-TEST(Network, TwoHopTransmitDelivers) {
-  Network net = make_net();
-  int delivered = 0;
-  for (int i = 0; i < 2'000; ++i) {
-    const auto r = net.transmit(PathSpec{0, 1, 2, 5},
-                                TimePoint::epoch() + Duration::millis(i * 40));
-    if (r.delivered) {
-      ++delivered;
-      EXPECT_GE(r.latency, net.base_latency(PathSpec{0, 1, 2, 5}));
-    }
-  }
-  EXPECT_GT(delivered, 1'900);
-}
-
 TEST(Network, CoreStretchRespectsMinimum) {
   Network net = make_net();
   for (NodeId a = 0; a < 30; ++a) {

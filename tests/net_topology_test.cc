@@ -129,22 +129,6 @@ TEST(Topology, DirectAndIndirectShareEdges) {
   EXPECT_EQ(shared, 4u);  // up(src), provOut(src), provIn(dst), down(dst)
 }
 
-TEST(Topology, TwoHopHopsStructure) {
-  const Topology t = small_topo();
-  const auto hops = t.hops(PathSpec{0, 1, 2, 3});
-  ASSERT_EQ(hops.size(), 15u);
-  // Legs: 0->2, 2->3, 3->1; forwarding after each intermediate's down.
-  EXPECT_EQ(hops[2].component, t.core_index(0, 2));
-  EXPECT_EQ(hops[7].component, t.core_index(2, 3));
-  EXPECT_EQ(hops[12].component, t.core_index(3, 1));
-  EXPECT_TRUE(hops[4].forward_after);   // down at via 2
-  EXPECT_TRUE(hops[9].forward_after);   // down at via 3
-  EXPECT_FALSE(hops[14].forward_after); // down at dst
-  int forwards = 0;
-  for (const auto& h : hops) forwards += h.forward_after ? 1 : 0;
-  EXPECT_EQ(forwards, 2);
-}
-
 TEST(Topology, OneHopForwardFlag) {
   const Topology t = small_topo();
   const auto hops = t.hops(PathSpec{0, 1, 2});
@@ -158,9 +142,6 @@ TEST(Topology, OneHopForwardFlag) {
 TEST(PathSpecHelpers, IntermediateCounting) {
   EXPECT_EQ((PathSpec{0, 1, kDirectVia}).intermediates(), 0);
   EXPECT_EQ((PathSpec{0, 1, 2}).intermediates(), 1);
-  EXPECT_EQ((PathSpec{0, 1, 2, 3}).intermediates(), 2);
-  EXPECT_TRUE((PathSpec{0, 1, 2, 3}).is_two_hop());
-  EXPECT_FALSE((PathSpec{0, 1, 2}).is_two_hop());
 }
 
 TEST(Topology, LinkClassNames) {

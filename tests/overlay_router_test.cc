@@ -9,7 +9,6 @@
 #include "net/scale_topology.h"
 #include "overlay/link_state.h"
 #include "overlay/neighbors.h"
-#include "overlay/path_engine.h"
 #include "snapshot/codec.h"
 
 namespace ronpath {
@@ -85,7 +84,7 @@ TEST(Router, PrefersDirectOnTies) {
   LinkStateTable t(5);
   fill(t, 0.01, Duration::millis(40));
   Router r(0, t, RouterConfig{});
-  const auto choice = r.best_loss_path(1);
+  const auto choice = r.best_loss_path(1, TimePoint::epoch());
   EXPECT_TRUE(choice.path.is_direct());
 }
 
@@ -94,7 +93,7 @@ TEST(Router, AvoidsLossyDirectWhenClearlyWorse) {
   fill(t, 0.005, Duration::millis(40));
   t.publish(0, 1, metrics(0.30, Duration::millis(40)));  // bad direct
   Router r(0, t, RouterConfig{});
-  const auto choice = r.best_loss_path(1);
+  const auto choice = r.best_loss_path(1, TimePoint::epoch());
   EXPECT_FALSE(choice.path.is_direct());
   EXPECT_LT(choice.loss, 0.30);
 }
@@ -107,7 +106,7 @@ TEST(Router, IndirectPenaltySuppressesNoise) {
   cfg.indirect_loss_penalty = 0.03;
   t.publish(0, 1, metrics(0.02, Duration::millis(40)));
   Router r(0, t, cfg);
-  EXPECT_TRUE(r.best_loss_path(1).path.is_direct());
+  EXPECT_TRUE(r.best_loss_path(1, TimePoint::epoch()).path.is_direct());
 }
 
 TEST(Router, LossHysteresisKeepsIncumbent) {
@@ -116,7 +115,7 @@ TEST(Router, LossHysteresisKeepsIncumbent) {
   t.publish(0, 1, metrics(0.40, Duration::millis(40)));
   RouterConfig cfg;
   Router r(0, t, cfg);
-  const auto first = r.best_loss_path(1);
+  const auto first = r.best_loss_path(1, TimePoint::epoch());
   ASSERT_FALSE(first.path.is_direct());
   const NodeId via = first.path.via;
   // Another via becomes infinitesimally better: incumbent must stick.
@@ -126,7 +125,7 @@ TEST(Router, LossHysteresisKeepsIncumbent) {
       t.publish(v, 1, metrics(0.004, Duration::millis(40)));
     }
   }
-  EXPECT_EQ(r.best_loss_path(1).path.via, via);
+  EXPECT_EQ(r.best_loss_path(1, TimePoint::epoch()).path.via, via);
 }
 
 TEST(Router, SwitchesWhenIncumbentGoesDown) {
@@ -134,10 +133,10 @@ TEST(Router, SwitchesWhenIncumbentGoesDown) {
   fill(t, 0.005, Duration::millis(40));
   t.publish(0, 1, metrics(0.40, Duration::millis(40)));
   Router r(0, t, RouterConfig{});
-  const auto first = r.best_loss_path(1);
+  const auto first = r.best_loss_path(1, TimePoint::epoch());
   ASSERT_FALSE(first.path.is_direct());
   t.publish(0, first.path.via, metrics(0.0, Duration::millis(40), /*down=*/true));
-  const auto second = r.best_loss_path(1);
+  const auto second = r.best_loss_path(1, TimePoint::epoch());
   EXPECT_NE(second.path.via, first.path.via);
 }
 
@@ -148,7 +147,7 @@ TEST(Router, LatencyPrefersFasterIndirect) {
   t.publish(0, 2, metrics(0.0, Duration::millis(10)));
   t.publish(2, 1, metrics(0.0, Duration::millis(10)));
   Router r(0, t, RouterConfig{});
-  const auto choice = r.best_lat_path(1);
+  const auto choice = r.best_lat_path(1, TimePoint::epoch());
   EXPECT_EQ(choice.path.via, 2);
   EXPECT_LT(choice.latency, Duration::millis(30));
 }
@@ -158,7 +157,7 @@ TEST(Router, LatencyAvoidsDownLinks) {
   fill(t, 0.0, Duration::millis(60));
   t.publish(0, 1, metrics(0.0, Duration::millis(5), /*down=*/true));  // fast but dead
   Router r(0, t, RouterConfig{});
-  const auto choice = r.best_lat_path(1);
+  const auto choice = r.best_lat_path(1, TimePoint::epoch());
   EXPECT_FALSE(path_down(t, choice.path));
 }
 
@@ -166,16 +165,16 @@ TEST(Router, LatencyHysteresis) {
   LinkStateTable t(4);
   fill(t, 0.0, Duration::millis(50));
   Router r(0, t, RouterConfig{});
-  const auto first = r.best_lat_path(1);
+  const auto first = r.best_lat_path(1, TimePoint::epoch());
   EXPECT_TRUE(first.path.is_direct());
   // A via gets trivially faster (under the 2 ms/5% margins): keep direct.
   t.publish(0, 2, metrics(0.0, Duration::millis(24)));
   t.publish(2, 1, metrics(0.0, Duration::millis(24)));
-  EXPECT_TRUE(r.best_lat_path(1).path.is_direct());
+  EXPECT_TRUE(r.best_lat_path(1, TimePoint::epoch()).path.is_direct());
   // Now dramatically faster: switch.
   t.publish(0, 2, metrics(0.0, Duration::millis(10)));
   t.publish(2, 1, metrics(0.0, Duration::millis(10)));
-  EXPECT_EQ(r.best_lat_path(1).path.via, 2);
+  EXPECT_EQ(r.best_lat_path(1, TimePoint::epoch()).path.via, 2);
 }
 
 TEST(Router, LiveIntermediatesExcludesEndpointsAndDown) {
@@ -244,45 +243,6 @@ TEST(Router, LiveIntermediatesExcludesEndpointsAndDown) {
       Router(plain[0], capped, RouterConfig{}).live_intermediates(plain[1]);
   EXPECT_EQ(via_plain, legacy(plain[0], plain[1]));
   EXPECT_LT(via_plain.size(), g.size() / 2);
-}
-
-TEST(Router, TwoHopComposesLoss) {
-  LinkStateTable t(4);
-  fill(t, 0.1, Duration::millis(50));
-  const double expected = 1.0 - 0.9 * 0.9 * 0.9;
-  EXPECT_NEAR(path_loss_estimate(t, PathSpec{0, 1, 2, 3}, RouterConfig{}, TimePoint::epoch()),
-              expected, 1e-12);
-}
-
-TEST(Router, TwoHopSelectorFindsCleanRelayChain) {
-  // Direct and ALL single-hop alternates are poisoned; only the chain
-  // 0 -> 2 -> 3 -> 1 is clean. The router stops at one relay; the path
-  // engine's two-round search finds the chain.
-  LinkStateTable t(4);
-  fill(t, 0.5, Duration::millis(40));
-  t.publish(0, 2, metrics(0.0, Duration::millis(40)));
-  t.publish(2, 3, metrics(0.0, Duration::millis(40)));
-  t.publish(3, 1, metrics(0.0, Duration::millis(40)));
-  const RouterConfig cfg;
-  Router r(0, t, cfg);
-  const auto one = r.best_loss_path(1);
-  EXPECT_GT(one.loss, 0.4);
-  EXPECT_FALSE(one.path.is_two_hop());
-  PathEngine engine(t, cfg);
-  const EngineChoice two = engine.best_loss(0, 1, 2, TimePoint::epoch());
-  ASSERT_EQ(two.path.count, 2);
-  EXPECT_EQ(two.path.hops[0], 2);
-  EXPECT_EQ(two.path.hops[1], 3);
-  EXPECT_LT(two.loss, 0.1);
-}
-
-TEST(Router, TwoHopPrefersSimplerPathsOnTies) {
-  LinkStateTable t(5);
-  fill(t, 0.0, Duration::millis(40));
-  const RouterConfig cfg;
-  PathEngine engine(t, cfg);
-  // Everything clean: direct wins (penalties bias against hops).
-  EXPECT_TRUE(engine.best_loss(0, 1, 2, TimePoint::epoch()).path.is_direct());
 }
 
 TEST(LinkStateTable, NodeSeemsUpBeforeAnyProbes) {

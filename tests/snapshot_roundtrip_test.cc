@@ -515,8 +515,7 @@ TEST(SnapshotRouter, MalformedIncumbentIsRejected) {
   LinkStateTable table(n);
   // A ROUT section with one destination state (key 1) whose loss
   // incumbent has the given fields, no latency incumbent, no hold-downs.
-  const auto encode = [](std::uint64_t src, std::uint64_t dst, std::uint64_t via,
-                         std::uint64_t via2) {
+  const auto encode = [](std::uint64_t src, std::uint64_t dst, std::uint64_t via) {
     snap::Encoder e;
     e.tag("ROUT");
     e.u64(1);
@@ -525,7 +524,6 @@ TEST(SnapshotRouter, MalformedIncumbentIsRejected) {
     e.u64(src);
     e.u64(dst);
     e.u64(via);
-    e.u64(via2);
     e.b(false);
     e.i64(0);
     e.i64(0);
@@ -535,30 +533,32 @@ TEST(SnapshotRouter, MalformedIncumbentIsRejected) {
 
   {  // Control: a well-formed one-relay incumbent restores and routes.
     Router r(self, table, RouterConfig{});
-    const std::vector<std::uint8_t> bytes = encode(self, 1, 2, kDirectVia);
+    const std::vector<std::uint8_t> bytes = encode(self, 1, 2);
     snap::Decoder d(bytes);
     ASSERT_NO_THROW(r.restore_state(d));
     std::vector<std::string> violations;
     r.check_invariants(TimePoint::epoch(), violations);
     EXPECT_TRUE(violations.empty()) << violations.front();
-    EXPECT_NO_THROW((void)r.best_loss_path(1));
+    EXPECT_NO_THROW((void)r.best_loss_path(1, TimePoint::epoch()));
   }
 
   struct Case {
     const char* what;
-    std::uint64_t src, dst, via, via2;
+    std::uint64_t src, dst, via;
   };
   const Case cases[] = {
-      {"via = n", self, 1, n, kDirectVia},
-      {"via2 = n", self, 1, 2, n},
-      {"a second relay: the router selects at most one", self, 1, 2, 0},
-      {"src != self", 0, 1, 2, kDirectVia},
-      {"dst != key", self, 2, 0, kDirectVia},
-      {"via = 65538, node 2 once narrowed", self, 1, 65538, kDirectVia},
+      {"via = n", self, 1, n},
+      {"src != self", 0, 1, 2},
+      {"dst != key", self, 2, 0},
+      {"via = 65538, node 2 once narrowed", self, 1, 65538},
+      // A relay at an endpoint would route its core leg over a segment
+      // from a site to itself.
+      {"via = self", self, 1, self},
+      {"via = dst", self, 1, 1},
   };
   for (const Case& c : cases) {
     Router r(self, table, RouterConfig{});
-    const std::vector<std::uint8_t> bytes = encode(c.src, c.dst, c.via, c.via2);
+    const std::vector<std::uint8_t> bytes = encode(c.src, c.dst, c.via);
     snap::Decoder d(bytes);
     EXPECT_THROW(r.restore_state(d), snap::SnapshotError) << c.what;
   }
